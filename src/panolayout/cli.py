@@ -47,7 +47,6 @@ class RunConfig:
     mode: str = "ensemble"
     camera_height: float = 1.6
     regime: str = "non_visible"
-    resolution: int = 2048
     peak_threshold: float | None = None
     peak_min_separation: int | None = None
     slope_threshold: float | None = None
@@ -147,7 +146,7 @@ def cmd_postprocess(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args.config, {"regime": args.regime, "resolution": args.resolution})
+    cfg = load_run_config(args.config, {"regime": args.regime})
     pred_files = _gather(Path(args.pred), ".layout.json")
     gt_files = _gather(Path(args.gt), ".layout.json")
     stem = lambda p: p.name[: -len(".layout.json")]
@@ -166,7 +165,7 @@ def cmd_evaluate(args) -> int:
         try:
             pred = parse_layout_json(preds[name].read_bytes())
             gt = parse_layout_json(gts[name].read_bytes())
-            rep = evaluate_pair(pred, gt, regime=cfg.regime, resolution=cfg.resolution)
+            rep = evaluate_pair(pred, gt, regime=cfg.regime)
         except (RoomLayoutError, OSError) as e:
             print(f"{name}: {e}", file=sys.stderr)
             failures += 1
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="directory of ground-truth .layout.json")
     p.add_argument("--out", default=None, help="also write a csv report here")
     p.add_argument("--regime", choices=("non_visible", "visible"), default=None)
-    p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
 

@@ -439,7 +439,7 @@ def emit_report(named_reports, fmt: str = "table") -> str:
     if fmt == "csv":
         lines = ["scene," + ",".join(_REPORT_COLUMNS)]
         for name, vals in rows:
-            lines.append(name + "," + ",".join(repr(v) for v in vals))
+            lines.append(name + "," + ",".join(repr(float(v)) for v in vals))
         return "\n".join(lines) + "\n"
     if fmt != "table":
         raise EmitError(f"unknown report format {fmt!r}")

@@ -1,14 +1,15 @@
 """Layout evaluation: area/volume IoU, corner and pixel error, F-scores.
 
-Polygon IoU is rasterized rather than clipped exactly: both polygons land on
-one shared grid over their joint bounding box (2048x2048 cells by default)
-and cells are tested by center parity. That keeps non-convex polygons with
-occlusion notches trivial to handle and the quantization error is far below
-the precision anything downstream reports.
+Polygon IoU is exact: the plane is cut into horizontal slabs at every vertex
+height of both polygons and every height where their edges cross, and inside
+a slab each cross-section length is linear in y, so the midpoint rule
+integrates it exactly. Non-convex polygons with occlusion notches need no
+special case.
 
 Corner-level scores work in pixel space with cyclic column distances, so
 every metric here is invariant under rotating both panoramas by the same
-number of columns.
+number of columns. :func:`evaluate_pair` renders each layout's boundary
+curves once and shares them between the pixel, wireframe and plane scores.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
+from . import synth
 from .errors import InputError, MetricError
-from .geometry import VisibleLayout
+from .geometry import VisibleLayout, polygon_signed_area
 from .panorama import ImageGrid, lat_to_row, row_to_lat
 
 THRESHOLDS = (5.0, 10.0, 20.0)
@@ -53,49 +55,61 @@ def _floor_polygon(x) -> np.ndarray:
     return pts
 
 
-def _polygon_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
-def _raster_mask(poly: np.ndarray, lo, cell, nx: int, ny: int) -> np.ndarray:
-    """Even-odd scanline fill: toggle crossing counts per row, then parity."""
-    x1, y1 = poly[:, 0][:, None], poly[:, 1][:, None]
-    x2 = np.roll(poly[:, 0], -1)[:, None]
-    y2 = np.roll(poly[:, 1], -1)[:, None]
-    yc = lo[1] + (np.arange(ny) + 0.5) * cell[1]
-    crosses = (y1 <= yc) != (y2 <= yc)
+def _edge_crossing_ys(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """y of every point where an edge of ``pa`` meets an edge of ``pb``, taken
+    along both edges so the result does not depend on the argument order."""
+    a, b = pa[:, None, :], pb[None, :, :]
+    da = np.roll(pa, -1, axis=0)[:, None, :] - a
+    db = np.roll(pb, -1, axis=0)[None, :, :] - b
+    cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        xc = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
-    e_idx, r_idx = np.nonzero(crosses)
-    cols = np.ceil((xc[e_idx, r_idx] - lo[0]) / cell[0] - 0.5).astype(np.int64)
-    cols = np.clip(cols, 0, nx)  # nx = overflow bucket past the last center
-    buf = np.zeros((ny, nx + 1), dtype=np.uint8)
-    np.add.at(buf, (r_idx, cols), 1)
-    return (np.cumsum(buf[:, :nx], axis=1, dtype=np.uint8) & 1).astype(bool)
+        t = cross(b - a, db) / cross(da, db)
+        s = cross(b - a, da) / cross(da, db)
+        hit = (t >= 0) & (t <= 1) & (s >= 0) & (s <= 1)
+        return np.concatenate([(a + t[..., None] * da)[hit, 1], (b + s[..., None] * db)[hit, 1]])
 
 
-def _rasterize_pair(poly_a: np.ndarray, poly_b: np.ndarray, resolution: int):
-    pts = np.vstack([poly_a, poly_b])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    cell = span / resolution
-    ma = _raster_mask(poly_a, lo, cell, resolution, resolution)
-    mb = _raster_mask(poly_b, lo, cell, resolution, resolution)
-    return ma, mb, float(cell[0] * cell[1])
+def _slab_areas(pa: np.ndarray, pb: np.ndarray) -> tuple[float, float, float]:
+    """Exact (intersection, area a, area b) of two simple polygons, by slabs.
+
+    Between consecutive breakpoints (every vertex y of both polygons and every
+    y where their edges cross) no edge starts, ends or passes another, so each
+    cross-section length is linear in y and its value at mid-height times the
+    slab height is exact. All three areas come from the same sums, so the
+    intersection never exceeds either area and identical polygons score 1.
+    """
+    ys = np.unique(np.concatenate([pa[:, 1], pb[:, 1], _edge_crossing_ys(pa, pb)]))
+    mid = 0.5 * (ys[:-1] + ys[1:])
+    (x1, y1), (x2, y2) = (
+        np.vstack(ends).T[:, :, None]
+        for ends in ((pa, pb), (np.roll(pa, -1, axis=0), np.roll(pb, -1, axis=0)))
+    )
+    crosses = (y1 <= mid) != (y2 <= mid)  # half-open: each polygon crosses evenly
+    x = np.where(crosses, x1 + (mid - y1) * (x2 - x1) / np.where(crosses, y2 - y1, 1.0), x1.max())
+    # bit 1 toggles at each crossing of an edge of pa, bit 2 of an edge of pb
+    flag = crosses * np.repeat([1, 2], [len(pa), len(pb)])[:, None]
+    order = np.argsort(x, axis=0)
+    gap = np.diff(np.take_along_axis(x, order, axis=0), axis=0)
+    inside = np.bitwise_xor.accumulate(np.take_along_axis(flag, order, axis=0), axis=0)[:-1]
+    return tuple(
+        float(np.dot(np.where((inside & bits) == bits, gap, 0.0).sum(axis=0), np.diff(ys)))
+        for bits in (3, 1, 2)
+    )
 
 
-def iou_2d(a, b, resolution: int = 2048) -> float:
-    """Floor-polygon area IoU by shared-grid rasterization."""
+def _ious(a, b, ha: float, hb: float) -> tuple[float, float]:
+    """Exact (area IoU, volume IoU) of two floor polygons extruded to heights ha, hb."""
     pa, pb = _floor_polygon(a), _floor_polygon(b)
-    if _polygon_area(pa) <= 1e-12 or _polygon_area(pb) <= 1e-12:
+    if abs(polygon_signed_area(pa)) <= 1e-12 or abs(polygon_signed_area(pb)) <= 1e-12:
         raise MetricError("zero-area polygon")
-    ma, mb, _ = _rasterize_pair(pa, pb, resolution)
-    union = np.count_nonzero(ma | mb)
-    if union == 0:
-        raise MetricError("polygons rasterized to nothing")
-    return np.count_nonzero(ma & mb) / union
+    inter, area_a, area_b = _slab_areas(pa, pb)
+    vol_inter = inter * min(ha, hb)
+    return inter / (area_a + area_b - inter), vol_inter / (area_a * ha + area_b * hb - vol_inter)
+
+
+def iou_2d(a, b) -> float:
+    """Exact floor-polygon area IoU."""
+    return _ious(a, b, 1.0, 1.0)[0]
 
 
 def _height_of(x, height) -> float:
@@ -106,24 +120,12 @@ def _height_of(x, height) -> float:
     raise InputError("bare polygons need an explicit height for volume IoU")
 
 
-def iou_3d(a, b, height_a: float | None = None, height_b: float | None = None,
-           resolution: int = 2048) -> float:
-    """Extruded-prism volume IoU; both layouts share the camera at the origin."""
+def iou_3d(a, b, height_a: float | None = None, height_b: float | None = None) -> float:
+    """Exact extruded-prism volume IoU; both layouts share the camera at the origin."""
     ha, hb = _height_of(a, height_a), _height_of(b, height_b)
     if ha <= 0 or hb <= 0:
         raise MetricError(f"nonpositive room height: {ha}, {hb}")
-    pa, pb = _floor_polygon(a), _floor_polygon(b)
-    if _polygon_area(pa) <= 1e-12 or _polygon_area(pb) <= 1e-12:
-        raise MetricError("zero-area polygon")
-    ma, mb, cell_area = _rasterize_pair(pa, pb, resolution)
-    area_inter = np.count_nonzero(ma & mb) * cell_area
-    area_a = np.count_nonzero(ma) * cell_area
-    area_b = np.count_nonzero(mb) * cell_area
-    vol_inter = area_inter * min(ha, hb)
-    vol_union = area_a * ha + area_b * hb - vol_inter
-    if vol_union <= 0:
-        raise MetricError("degenerate volumes")
-    return vol_inter / vol_union
+    return _ious(a, b, ha, hb)[1]
 
 
 def _pixel_distances(p: np.ndarray, q: np.ndarray, width: float | None) -> np.ndarray:
@@ -155,8 +157,7 @@ def corner_error(
     either side is charged ``unmatched_penalty`` of the diagonal, keeping the
     score defined and monotone under spurious corners.
     """
-    if grid is None:
-        grid = pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid()
+    grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
     p = _as_corner_points(pred_corners, grid)
     q = _as_corner_points(gt_corners, grid)
     if len(p) == 0 or len(q) == 0:
@@ -191,16 +192,16 @@ def _greedy_match(dist: np.ndarray, threshold: float) -> list[float]:
     return out
 
 
+def _f1(precision: float, recall: float) -> float:
+    return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+
+
 def _f_score(matched: int, n_pred: int, n_gt: int) -> float:
     if n_pred == 0 and n_gt == 0:
         return 1.0
     if n_pred == 0 or n_gt == 0:
         return 0.0
-    precision = matched / n_pred
-    recall = matched / n_gt
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return _f1(matched / n_pred, matched / n_gt)
 
 
 def junction_f(
@@ -213,8 +214,7 @@ def junction_f(
 
     Accepts layouts or (N, 2) pixel point arrays.
     """
-    if grid is None:
-        grid = pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid()
+    grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
     p = _as_corner_points(pred_corners, grid)
     q = _as_corner_points(gt_corners, grid)
     if len(p) == 0 and len(q) == 0:
@@ -231,9 +231,7 @@ def junction_f(
 
 def _boundaries_of(x, grid: ImageGrid):
     if isinstance(x, VisibleLayout):
-        from .synth import layout_boundaries
-
-        return layout_boundaries(x, grid)
+        return synth.layout_boundaries(x, grid)
     y_c = np.asarray(x.y_c, dtype=float)
     y_f = np.asarray(x.y_f, dtype=float)
     if len(y_c) != grid.width:
@@ -264,6 +262,22 @@ def pixel_error(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
     return float(np.mean(p != g))
 
 
+def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
+    """:func:`pixel_error` of the two :func:`render_semantic` masks, per column.
+
+    Ceiling rows run down from the top and floor rows up from the bottom, and
+    ``y_f < 0 < y_c`` keeps them apart, so two columns disagree on exactly
+    |ceiling rows difference| + |floor rows difference| pixels.
+    """
+    lats_up = row_to_lat(np.arange(grid.height - 1, -1, -1), grid)
+    wrong = 0
+    # rows strictly above y_c are ceiling, rows strictly below y_f floor
+    for side, y_p, y_g in zip(("right", "left"), bounds_p, bounds_g):
+        rows_p, rows_g = np.searchsorted(lats_up, y_p, side), np.searchsorted(lats_up, y_g, side)
+        wrong += int(np.abs(rows_p - rows_g).sum())
+    return wrong / (grid.width * grid.height)
+
+
 def corner_image_points(layout: VisibleLayout, grid: ImageGrid | None = None) -> np.ndarray:
     """(2N, 2) pixel positions of every corner's ceiling and floor junction."""
     grid = grid or layout.grid
@@ -274,12 +288,9 @@ def corner_image_points(layout: VisibleLayout, grid: ImageGrid | None = None) ->
     return np.array(pts)
 
 
-def _wireframe_points(layout: VisibleLayout, grid: ImageGrid, include_verticals: bool) -> np.ndarray:
-    y_c, y_f = _boundaries_of(layout, grid)
+def _wireframe_points(layout, bounds, grid: ImageGrid, include_verticals: bool) -> np.ndarray:
     cols = np.arange(grid.width, dtype=float)
-    rows_c = lat_to_row(y_c, grid)
-    rows_f = lat_to_row(y_f, grid)
-    pts = [np.stack([cols, rows_c], axis=1), np.stack([cols, rows_f], axis=1)]
+    pts = [np.stack([cols, lat_to_row(y, grid)], axis=1) for y in bounds]
     if include_verticals:
         for c in layout.corners:
             r1 = lat_to_row(c.ceil_lat, grid)
@@ -289,11 +300,26 @@ def _wireframe_points(layout: VisibleLayout, grid: ImageGrid, include_verticals:
     return np.vstack(pts)
 
 
-def _chamfer_fraction(src: np.ndarray, target: np.ndarray, width: int, t: float) -> float:
-    """Fraction of src points within t pixels of some target point (cyclic u)."""
-    aug = np.vstack([target, target + [width, 0], target - [width, 0]])
-    d, _ = cKDTree(aug).query(src, k=1)
-    return float(np.mean(d <= t))
+def _nearest_distances(src: np.ndarray, target: np.ndarray, width: int, reach: float) -> np.ndarray:
+    """Distance from each src point to its nearest target point, columns cyclic;
+    ``inf`` where none is within ``reach`` pixels.
+
+    Only target points within ``reach`` columns of the seam can be nearest
+    across it, so only those get a copy one width over. The query bound is
+    strict, hence ``nextafter``: a point exactly ``reach`` away still counts.
+    """
+    u = target[:, 0]
+    aug = np.vstack([target, target[u <= reach] + [width, 0], target[u >= width - reach] - [width, 0]])
+    return cKDTree(aug).query(src, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]
+
+
+def _wireframe_f(pred, gt, bounds_p, bounds_g, grid: ImageGrid, thresholds, include_verticals) -> float:
+    p = _wireframe_points(pred, bounds_p, grid, include_verticals)
+    g = _wireframe_points(gt, bounds_g, grid, include_verticals)
+    reach = max(thresholds)
+    d_p = _nearest_distances(p, g, grid.width, reach)
+    d_g = _nearest_distances(g, p, grid.width, reach)
+    return float(np.mean([_f1(float(np.mean(d_p <= t)), float(np.mean(d_g <= t))) for t in thresholds]))
 
 
 def wireframe_f(
@@ -309,17 +335,8 @@ def wireframe_f(
     junction segment at every corner column.
     """
     grid = grid or pred_layout.grid
-    p = _wireframe_points(pred_layout, grid, include_verticals)
-    g = _wireframe_points(gt_layout, grid, include_verticals)
-    scores = []
-    for t in thresholds:
-        precision = _chamfer_fraction(p, g, grid.width, t)
-        recall = _chamfer_fraction(g, p, grid.width, t)
-        if precision + recall == 0:
-            scores.append(0.0)
-        else:
-            scores.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(scores))
+    bounds = (_boundaries_of(pred_layout, grid), _boundaries_of(gt_layout, grid))
+    return _wireframe_f(pred_layout, gt_layout, *bounds, grid, thresholds, include_verticals)
 
 
 def _cyclic_col_range(c0: float, c1: float, width: int) -> np.ndarray:
@@ -330,16 +347,11 @@ def _cyclic_col_range(c0: float, c1: float, width: int) -> np.ndarray:
     return (cols.astype(np.int64)) % width
 
 
-def _planes(layout: VisibleLayout, grid: ImageGrid):
+def _planes(layout: VisibleLayout, bounds, grid: ImageGrid):
     """Each plane as (label, top_row[w], bottom_row[w]); empty columns 0-height."""
     w = grid.width
-    y_c, y_f = _boundaries_of(layout, grid)
-    rows_c = lat_to_row(y_c, grid)
-    rows_f = lat_to_row(y_f, grid)
-    planes = [
-        ("ceiling", np.full(w, -0.5), rows_c.copy()),
-        ("floor", rows_f.copy(), np.full(w, grid.height - 0.5)),
-    ]
+    rows_c, rows_f = (lat_to_row(y, grid) for y in bounds)
+    planes = [("ceiling", np.full(w, -0.5), rows_c), ("floor", rows_f, np.full(w, grid.height - 0.5))]
     corners = layout.corners
     for i, j in layout.wall_edges():
         top = np.full(w, 0.0)
@@ -361,6 +373,23 @@ def _interval_iou(a, b) -> float:
     return float(inter / union) if union > 0 else 0.0
 
 
+def _plane_f(pred, gt, bounds_p, bounds_g, grid: ImageGrid, iou_threshold: float) -> float:
+    pred_planes = _planes(pred, bounds_p, grid)
+    gt_planes = _planes(gt, bounds_g, grid)
+    ious = [
+        (_interval_iou(p, g), i, j)
+        for i, p in enumerate(pred_planes)
+        for j, g in enumerate(gt_planes)
+        if p[0] == g[0]
+    ]
+    used_p, used_g = set(), set()
+    for iou, i, j in sorted(ious, key=lambda c: -c[0]):
+        if iou > iou_threshold and i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+    return _f_score(len(used_p), len(pred_planes), len(gt_planes))
+
+
 def plane_f(
     pred_layout: VisibleLayout,
     gt_layout: VisibleLayout,
@@ -374,25 +403,8 @@ def plane_f(
     one-to-one.
     """
     grid = grid or pred_layout.grid
-    pred = _planes(pred_layout, grid)
-    gt = _planes(gt_layout, grid)
-    cand = []
-    for i, p in enumerate(pred):
-        for j, g in enumerate(gt):
-            if p[0] != g[0]:
-                continue
-            iou = _interval_iou(p, g)
-            if iou > iou_threshold:
-                cand.append((iou, i, j))
-    cand.sort(key=lambda c: -c[0])
-    used_p, used_g = set(), set()
-    matched = 0
-    for iou, i, j in cand:
-        if i not in used_p and j not in used_g:
-            used_p.add(i)
-            used_g.add(j)
-            matched += 1
-    return _f_score(matched, len(pred), len(gt))
+    bounds = (_boundaries_of(pred_layout, grid), _boundaries_of(gt_layout, grid))
+    return _plane_f(pred_layout, gt_layout, *bounds, grid, iou_threshold)
 
 
 def clip_to_visible(layout: VisibleLayout) -> VisibleLayout:
@@ -404,15 +416,10 @@ def clip_to_visible(layout: VisibleLayout) -> VisibleLayout:
     """
     if layout.occlusion_pairs():
         return layout
-    from .synth import SyntheticRoom, truth_layout
-
-    room = SyntheticRoom(
-        layout.floor_points(),
-        layout.room_height,
-        np.zeros(2),
-        layout.camera.camera_height,
+    room = synth.SyntheticRoom(
+        layout.floor_points(), layout.room_height, np.zeros(2), layout.camera.camera_height
     )
-    return truth_layout(room, layout.grid)
+    return synth.truth_layout(room, layout.grid)
 
 
 def evaluate_pair(
@@ -420,33 +427,25 @@ def evaluate_pair(
     gt: VisibleLayout,
     grid: ImageGrid | None = None,
     regime: str = "non_visible",
-    resolution: int = 2048,
 ) -> MetricReport:
-    """All metrics for one prediction/ground-truth pair."""
+    """All metrics for one prediction/ground-truth pair; each layout's boundary
+    curves are rendered once, for the pixel, wireframe and plane scores."""
     if regime not in ("visible", "non_visible"):
         raise InputError(f"regime must be 'visible' or 'non_visible', got {regime!r}")
     grid = grid or pred.grid
     if regime == "visible":
         gt = clip_to_visible(gt)
-    pa, pb = pred.floor_points(), gt.floor_points()
-    ma, mb, cell_area = _rasterize_pair(pa, pb, resolution)
-    inter = np.count_nonzero(ma & mb)
-    union = np.count_nonzero(ma | mb)
-    if union == 0:
-        raise MetricError("polygons rasterized to nothing")
-    iou2 = inter / union
-    ha, hb = pred.room_height, gt.room_height
-    vol_inter = inter * cell_area * min(ha, hb)
-    vol_union = np.count_nonzero(ma) * cell_area * ha + np.count_nonzero(mb) * cell_area * hb - vol_inter
-    iou3 = vol_inter / vol_union
+    iou2d, iou3d = _ious(pred, gt, pred.room_height, gt.room_height)
+    bounds_p = synth.layout_boundaries(pred, grid)
+    bounds_g = synth.layout_boundaries(gt, grid)
     p_pts = corner_image_points(pred, grid)
     g_pts = corner_image_points(gt, grid)
     return MetricReport(
-        iou2d=iou2,
-        iou3d=iou3,
+        iou2d=iou2d,
+        iou3d=iou3d,
         corner_error=corner_error(p_pts, g_pts, grid),
-        pixel_error=pixel_error(render_semantic(pred, grid), render_semantic(gt, grid)),
+        pixel_error=_column_pixel_error(bounds_p, bounds_g, grid),
         junction_f=junction_f(p_pts, g_pts, grid),
-        wireframe_f=wireframe_f(pred, gt, grid),
-        plane_f=plane_f(pred, gt, grid),
+        wireframe_f=_wireframe_f(pred, gt, bounds_p, bounds_g, grid, THRESHOLDS, True),
+        plane_f=_plane_f(pred, gt, bounds_p, bounds_g, grid, 0.5),
     )

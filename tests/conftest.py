@@ -42,3 +42,40 @@ def cyclic_delta(a, b, width):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _raster_mask(poly, lo, cell, n):
+    """Even-odd scanline fill of an n x n grid: toggle crossing counts per row,
+    then take the parity along it."""
+    x1, y1 = poly[:, 0][:, None], poly[:, 1][:, None]
+    x2 = np.roll(poly[:, 0], -1)[:, None]
+    y2 = np.roll(poly[:, 1], -1)[:, None]
+    yc = lo[1] + (np.arange(n) + 0.5) * cell[1]
+    crosses = (y1 <= yc) != (y2 <= yc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
+    e_idx, r_idx = np.nonzero(crosses)
+    cols = np.ceil((xc[e_idx, r_idx] - lo[0]) / cell[0] - 0.5).astype(np.int64)
+    cols = np.clip(cols, 0, n)  # n = overflow bucket past the last center
+    buf = np.zeros((n, n + 1), dtype=np.uint8)
+    np.add.at(buf, (r_idx, cols), 1)
+    return (np.cumsum(buf[:, :n], axis=1, dtype=np.uint8) & 1).astype(bool)
+
+
+def raster_iou(a, b, resolution=4096):
+    """Brute-force floor-polygon IoU: both polygons rasterized on one shared
+    grid over their joint bounding box, cells tested by center parity."""
+    pa = a.floor_points() if hasattr(a, "floor_points") else np.asarray(a, dtype=float)
+    pb = b.floor_points() if hasattr(b, "floor_points") else np.asarray(b, dtype=float)
+    pts = np.vstack([pa, pb])
+    lo = pts.min(axis=0)
+    cell = np.maximum(pts.max(axis=0) - lo, 1e-9) / resolution
+    ma = _raster_mask(pa, lo, cell, resolution)
+    mb = _raster_mask(pb, lo, cell, resolution)
+    return np.count_nonzero(ma & mb) / np.count_nonzero(ma | mb)
+
+
+@pytest.fixture(scope="session")
+def raster():
+    """The brute-force raster IoU oracle, ``raster(a, b, resolution=4096)``."""
+    return raster_iou

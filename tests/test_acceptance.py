@@ -173,7 +173,7 @@ class TestGate:
             failures,
         )
 
-    def test_metric_hand_examples(self, gate):
+    def test_metric_hand_examples(self, gate, raster):
         failures = []
 
         def expect(label, got, want, tol):
@@ -186,11 +186,11 @@ class TestGate:
         l_shape = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], float)
 
         expect("iou2d identical", iou_2d(square, square), 1.0, 0.0)
-        expect("iou2d half shift", iou_2d(square, shifted), 1 / 3, 0.002)
-        expect("iou2d L in square", iou_2d(big, l_shape), 0.75, 0.002)
+        expect("iou2d half shift", iou_2d(square, shifted), 1 / 3, 1e-12)
+        expect("iou2d L in square", iou_2d(big, l_shape), 0.75, 1e-12)
         for a, b in ((square, shifted), (big, l_shape)):
-            drift = abs(iou_2d(a, b, resolution=2048) - iou_2d(a, b, resolution=4096))
-            expect("iou2d resolution doubling", drift, 0.0, 0.001)
+            drift = abs(iou_2d(a, b) - raster(a, b, resolution=4096))
+            expect("iou2d exact vs raster(4096)", drift, 0.0, 0.001)
 
         expect(
             "iou3d nested heights",
@@ -198,7 +198,7 @@ class TestGate:
         )
         expect(
             "iou3d shifted prisms",
-            iou_3d(square, shifted, height_a=2.0, height_b=2.0), 1 / 3, 0.002,
+            iou_3d(square, shifted, height_a=2.0, height_b=2.0), 1 / 3, 1e-12,
         )
 
         five_px = corner_error(

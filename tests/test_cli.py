@@ -167,6 +167,19 @@ class TestEvaluate:
         assert rows[0].startswith("scene,")
         assert [r.split(",")[0] for r in rows[1:]] == sorted(stems) + ["mean"]
 
+    def test_resolution_is_no_longer_an_option(self, tmp_path, run):
+        # IoU is exact, so the raster resolution knob is gone from flags and config
+        write_corpus(tmp_path / "gt", families=("square",), seeds=(0,))
+        dirs = ("--pred", str(tmp_path / "gt"), "--gt", str(tmp_path / "gt"))
+        code, _, err = run("evaluate", *dirs, "--resolution", "4096")
+        assert code == 1
+        assert "--resolution" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 4096}))
+        code, _, err = run("evaluate", *dirs, "--config", str(cfg))
+        assert code == 1
+        assert "unknown key 'resolution'" in err
+
     def test_prediction_scores_through_cli(self, tmp_path, run):
         write_corpus(tmp_path / "gt", families=("l_room",), seeds=(0, 1, 2))
         run("postprocess", "--in", str(tmp_path / "gt"), "--out", str(tmp_path / "pred"))

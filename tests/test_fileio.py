@@ -372,6 +372,15 @@ class TestReport:
         assert mean[0] == pytest.approx(0.8, abs=1e-15)
         assert mean[4] == pytest.approx(0.75, abs=1e-15)
 
+    def test_csv_numpy_scalars_write_plain_float_tokens(self):
+        # under numpy 2, repr(np.float64(x)) is "np.float64(x)"
+        values = [np.float64(v) for v in self.reports[0][1].as_row()]
+        reports = [("scene_np", MetricReport(*values)), *self.reports]
+        rows = [line.split(",")[1:] for line in emit_report(reports, fmt="csv").splitlines()[1:]]
+        parsed = [[float(t) for t in row] for row in rows]  # float() rejects "np.float64(...)"
+        assert parsed[0] == values
+        assert parsed[1:3] == [rep.as_row() for _, rep in self.reports]
+
     def test_table_layout(self):
         text = emit_report(self.reports, fmt="table")
         lines = text.splitlines()

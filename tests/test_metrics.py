@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from panolayout import (
     BoundarySignal,
@@ -24,6 +25,7 @@ from panolayout import (
     lat_to_row,
     layout_boundaries,
     pixel_error,
+    perturb_signal,
     plane_f,
     postprocess,
     render_semantic,
@@ -32,6 +34,7 @@ from panolayout import (
     truth_layout,
     wireframe_f,
 )
+from panolayout.metrics import _column_pixel_error
 from panolayout.synth import make_fixture
 
 GRID = ImageGrid()
@@ -49,6 +52,38 @@ def l_room_round_trip(seed=0):
     return postprocess(signal), truth
 
 
+def noisy_round_trip(family, seed, sigma=0.002):
+    signal, truth = render_signal(make_fixture(family, seed))
+    return postprocess(perturb_signal(signal, sigma, seed=seed)), truth
+
+
+def convex_clip_area(subject, clip):
+    """Area of subject ∩ clip for convex CCW polygons (Sutherland-Hodgman)."""
+
+    def side(p, a, b):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    out = [tuple(p) for p in subject]
+    for a, b in zip(clip, np.roll(clip, -1, axis=0)):
+        pts, out = out, []
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            sp, sq = side(p, a, b), side(q, a, b)
+            if sp >= 0:
+                out.append(p)
+            if (sp >= 0) != (sq >= 0):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if not out:
+            return 0.0
+    x, y = np.array(out).T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def random_convex(rng, n):
+    ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+    return np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.5, 2.0) + rng.uniform(-1, 1, 2)
+
+
 class TestIou2d:
     def test_identical(self):
         assert iou_2d(UNIT_SQUARE, UNIT_SQUARE) == 1.0
@@ -56,14 +91,14 @@ class TestIou2d:
     def test_half_shifted_squares(self):
         # inter 0.5, union 1.5
         assert iou_2d(UNIT_SQUARE, shifted(UNIT_SQUARE, 0.5)) == pytest.approx(
-            1 / 3, abs=0.002
+            1 / 3, abs=1e-12
         )
 
     def test_l_shape_inside_square(self):
         # the L covers 3 of the square's 4 area units
         square = 2.0 * UNIT_SQUARE
         l_shape = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
-        assert iou_2d(square, l_shape) == pytest.approx(0.75, abs=0.002)
+        assert iou_2d(square, l_shape) == pytest.approx(0.75, abs=1e-12)
 
     def test_round_trip_layouts(self):
         pred, truth = l_room_round_trip()
@@ -79,13 +114,62 @@ class TestIou2d:
         with pytest.raises(MetricError):
             iou_2d(line, UNIT_SQUARE)
 
-    def test_resolution_doubling_converged(self):
+    def test_exact_matches_fine_raster(self, raster):
         cases = [
             (UNIT_SQUARE, shifted(UNIT_SQUARE, 0.5)),
             l_room_round_trip(),
+            *(noisy_round_trip(family, 5) for family in ("pentagon", "l_room", "t_room")),
         ]
         for a, b in cases:
-            assert abs(iou_2d(a, b, resolution=2048) - iou_2d(a, b, resolution=4096)) < 0.001
+            assert abs(iou_2d(a, b) - raster(a, b, resolution=4096)) < 0.001
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=4, max_size=4),
+        st.lists(st.floats(0.01, 10), min_size=4, max_size=4),
+    )
+    def test_axis_aligned_rectangles_closed_form(self, corner, size):
+        (ax, ay, bx, by), (aw, ah, bw, bh) = corner, size
+        a = np.array([[ax, ay], [ax + aw, ay], [ax + aw, ay + ah], [ax, ay + ah]])
+        b = np.array([[bx, by], [bx + bw, by], [bx + bw, by + bh], [bx, by + bh]])
+        ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+        iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+        inter = ix * iy
+        want = inter / (aw * ah + bw * bh - inter)
+        assert iou_2d(a, b) == pytest.approx(want, abs=1e-12)
+
+    def test_square_and_diamond(self):
+        # edges cross at y = +-0.5, which is no vertex height of either polygon:
+        # [-1, 1]^2 minus four corner triangles of legs 0.5 is 3.5; diamond 4.5
+        diamond = np.array([[1.5, 0.0], [0.0, 1.5], [-1.5, 0.0], [0.0, -1.5]])
+        square = 2.0 * UNIT_SQUARE - 1.0
+        assert iou_2d(square, diamond) == pytest.approx(3.5 / 5.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_convex_polygons_match_clipping(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_convex(rng, int(rng.integers(3, 12)))
+        b = random_convex(rng, int(rng.integers(3, 12)))
+        inter = convex_clip_area(a, b)
+        area_a, area_b = convex_clip_area(a, a), convex_clip_area(b, b)
+        assert iou_2d(a, b) == pytest.approx(inter / (area_a + area_b - inter), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_star_polygons_bounded_symmetric_reflexive(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def star(n):
+            ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+            r = rng.uniform(0.5, 2.0, n)
+            return np.column_stack([r * np.cos(ang), r * np.sin(ang)]) + rng.uniform(-0.5, 0.5, 2)
+
+        a, b = star(int(rng.integers(3, 12))), star(int(rng.integers(3, 12)))
+        v = iou_2d(a, b)
+        assert 0.0 <= v <= 1.0
+        assert iou_2d(b, a) == v
+        assert iou_2d(a, a) == 1.0
 
 
 class TestIou3d:
@@ -100,7 +184,7 @@ class TestIou3d:
 
     def test_shifted_squares_equal_heights(self):
         v = iou_3d(UNIT_SQUARE, shifted(UNIT_SQUARE, 0.5), height_a=2.0, height_b=2.0)
-        assert v == pytest.approx(1 / 3, abs=0.002)
+        assert v == pytest.approx(1 / 3, abs=1e-12)
 
     def test_same_footprint_formula_exact(self, rng):
         for _ in range(10):
@@ -230,6 +314,24 @@ class TestPixelError:
         with pytest.raises(InputError):
             pixel_error(np.zeros((4, 8)), np.zeros((8, 4)))
 
+    def test_column_counts_match_masks_on_row_latitudes(self, rng):
+        # boundaries sitting exactly on row latitudes are where > and < bite
+        grid = ImageGrid(64, 32)
+        lats = row_to_lat(np.arange(grid.height), grid)
+        bounds = []
+        for _ in range(2):
+            y_c = rng.choice(lats[lats > 0], grid.width)
+            y_f = rng.choice(lats[lats < 0], grid.width)
+            half = rng.random(grid.width) < 0.5
+            y_c[half] = rng.uniform(1e-3, np.pi / 2 - 1e-3, half.sum())
+            y_f[half] = -rng.uniform(1e-3, np.pi / 2 - 1e-3, half.sum())
+            bounds.append((y_c, y_f))
+        masks = [
+            render_semantic(BoundarySignal(np.zeros(grid.width), y_c, y_f), grid)
+            for y_c, y_f in bounds
+        ]
+        assert _column_pixel_error(*bounds, grid) == pixel_error(*masks)
+
 
 def brute_junction_f(p, q, width, thresholds=(5.0, 10.0, 20.0)):
     """Plain-loop greedy one-to-one matcher used as the matching oracle."""
@@ -307,18 +409,31 @@ def constant_signal(y_c, y_f, w=1024):
     return BoundarySignal(np.zeros(w), np.full(w, y_c), np.full(w, y_f))
 
 
-def brute_wireframe_f(p_pts, g_pts, width, thresholds=(5.0, 10.0, 20.0)):
-    du = np.abs(p_pts[:, None, 0] - g_pts[None, :, 0])
-    du = np.minimum(du, width - du)
-    d = np.sqrt(du**2 + (p_pts[:, None, 1] - g_pts[None, :, 1]) ** 2)
-    nearest_g = d.min(axis=1)
-    nearest_p = d.min(axis=0)
+def chamfer_f(nearest_g, nearest_p, thresholds=(5.0, 10.0, 20.0)):
+    """Mean F-score over the thresholds, from each side's nearest distances."""
     scores = []
     for t in thresholds:
         pr = float(np.mean(nearest_g <= t))
         rc = float(np.mean(nearest_p <= t))
         scores.append(0.0 if pr + rc == 0 else 2 * pr * rc / (pr + rc))
     return float(np.mean(scores))
+
+
+def brute_wireframe_f(p_pts, g_pts, width, thresholds=(5.0, 10.0, 20.0)):
+    du = np.abs(p_pts[:, None, 0] - g_pts[None, :, 0])
+    du = np.minimum(du, width - du)
+    d = np.sqrt(du**2 + (p_pts[:, None, 1] - g_pts[None, :, 1]) ** 2)
+    return chamfer_f(d.min(axis=1), d.min(axis=0), thresholds)
+
+
+def full_augmentation_wireframe_f(p_pts, g_pts, width):
+    """Chamfer F with every point copied one width to each side of the seam."""
+
+    def nearest(src, target):
+        aug = np.vstack([target, target + [width, 0], target - [width, 0]])
+        return cKDTree(aug).query(src, k=1)[0]
+
+    return chamfer_f(nearest(p_pts, g_pts), nearest(g_pts, p_pts))
 
 
 def wire_points(layout, grid, include_verticals=True):
@@ -356,9 +471,34 @@ class TestWireframeF:
         assert f10 == 1.0
         assert full == pytest.approx((0.5 + 1.0 + 1.0) / 3, abs=1e-12)
 
+    def test_points_exactly_at_the_largest_threshold_match(self):
+        # floor curves exactly 20 rows apart: matched at t=20, not at t=10
+        w = GRID.width
+        y_c = np.full(w, math.pi / 4)
+        a = BoundarySignal(np.zeros(w), y_c, row_to_lat(np.full(w, 400.0), GRID))
+        b = BoundarySignal(np.zeros(w), y_c, row_to_lat(np.full(w, 420.0), GRID))
+        assert wireframe_f(a, b, GRID, thresholds=(10.0, 20.0), include_verticals=False) == 0.75
+        assert wireframe_f(a, b, GRID, include_verticals=False) == pytest.approx(2 / 3, abs=1e-12)
+
     def test_round_trip_score_high(self):
         pred, truth = l_room_round_trip()
         assert wireframe_f(pred, truth) >= 0.95
+
+    def test_seam_matches_full_augmentation(self):
+        # one room seen with its fifth vertex just left and just right of the
+        # seam (lon = +-pi lies along -x), so both wireframes straddle it
+        def room(y):
+            poly = np.array([[-2, -1.5], [3, -1.5], [3, 2], [-2, 2], [-2.6, y]])
+            return truth_layout(SyntheticRoom(poly, 3.0, np.zeros(2)), GRID)
+
+        pred, gt = room(-0.15), room(0.15)
+        assert min(c.column for c in pred.corners) < 20
+        assert max(c.column for c in gt.corners) > GRID.width - 20
+        want = full_augmentation_wireframe_f(
+            wire_points(pred, GRID), wire_points(gt, GRID), GRID.width
+        )
+        assert wireframe_f(pred, gt) == want
+        assert want < 1.0
 
     def test_matches_brute_force_chamfer(self):
         pred, truth = l_room_round_trip(seed=1)
@@ -406,19 +546,23 @@ class TestPlaneF:
 
 class TestEvaluatePair:
     def test_matches_standalone_metrics(self):
-        pred, truth = l_room_round_trip()
-        report = evaluate_pair(pred, truth)
-        assert report.iou2d == pytest.approx(iou_2d(pred, truth), abs=1e-12)
-        assert report.iou3d == pytest.approx(iou_3d(pred, truth), abs=1e-12)
-        p_pts = corner_image_points(pred, GRID)
-        g_pts = corner_image_points(truth, GRID)
-        assert report.corner_error == pytest.approx(corner_error(p_pts, g_pts, GRID), abs=1e-15)
-        assert report.junction_f == pytest.approx(junction_f(p_pts, g_pts, GRID), abs=1e-15)
-        assert report.wireframe_f == pytest.approx(wireframe_f(pred, truth, GRID), abs=1e-15)
-        assert report.plane_f == pytest.approx(plane_f(pred, truth, GRID), abs=1e-15)
-        assert report.pixel_error == pytest.approx(
-            pixel_error(render_semantic(pred, GRID), render_semantic(truth, GRID)), abs=1e-15
-        )
+        cases = [
+            l_room_round_trip(),
+            *(noisy_round_trip(family, 7) for family in ("square", "hexagon", "l_room", "t_room")),
+        ]
+        for pred, truth in cases:
+            report = evaluate_pair(pred, truth)
+            assert report.iou2d == iou_2d(pred, truth)
+            assert report.iou3d == iou_3d(pred, truth)
+            p_pts = corner_image_points(pred, GRID)
+            g_pts = corner_image_points(truth, GRID)
+            assert report.corner_error == corner_error(p_pts, g_pts, GRID)
+            assert report.junction_f == junction_f(p_pts, g_pts, GRID)
+            assert report.wireframe_f == wireframe_f(pred, truth, GRID)
+            assert report.plane_f == plane_f(pred, truth, GRID)
+            assert report.pixel_error == pixel_error(
+                render_semantic(pred, GRID), render_semantic(truth, GRID)
+            )
 
     def test_all_fields_in_unit_interval(self):
         pred, truth = l_room_round_trip(seed=3)
