@@ -346,16 +346,17 @@ def _extrapolate_half(y: np.ndarray, k: int, toward: int, cap: float, lo: float,
 def extract_occlusion_pair(
     signal: BoundarySignal, column: float, config: DetectConfig | None = None
 ) -> tuple[LayoutCorner, LayoutCorner]:
-    """Near/far corner pair at a confirmed discontinuity column.
+    """Occlusion corner pair at a confirmed discontinuity column.
 
     Within the extrema window around the column, the largest single-step jump
     of the floor boundary locates the discontinuity between two adjacent
     columns. Both corners are placed at the jump midpoint, each keeping its
-    own wall's boundary values extrapolated to that midpoint; the side with
-    the lower floor point in the image (larger |y_f|, nearer wall) is the
-    near corner. A window without a jump at least as large as the slope
-    threshold is ambiguous: there is no discontinuity to flank, so no pair is
-    extracted there.
+    own wall's boundary values extrapolated to that midpoint. The pair comes
+    in boundary order, the left wall's corner first; the side with the lower
+    floor point in the image (larger |y_f|, nearer wall) is the near corner,
+    the other the far one. A window without a jump at least as large as the
+    slope threshold is ambiguous: there is no discontinuity to flank, so no
+    pair is extracted there.
     """
     config = config or DetectConfig()
     w = signal.width
@@ -379,17 +380,13 @@ def extract_occlusion_pair(
         floor = _extrapolate_half(signal.y_f, k, toward, cap, *_FLOOR_LAT_RANGE)
         return LayoutCorner(col, ceil, floor, kind)
 
+    near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
+    left_kind, right_kind = (
+        (near, far) if abs(signal.y_f[a]) > abs(signal.y_f[b]) else (far, near)
+    )
     # toward = +1 extrapolates the left wall rightward onto the jump, -1 the
     # right wall leftward
-    left = (a, +1)
-    right = (b, -1)
-    if abs(signal.y_f[a]) > abs(signal.y_f[b]):
-        near_side, far_side = left, right
-    else:
-        near_side, far_side = right, left
-    near = corner_at(*near_side, CornerKind.OCCLUSION_NEAR)
-    far = corner_at(*far_side, CornerKind.OCCLUSION_FAR)
-    return near, far
+    return corner_at(a, +1, left_kind), corner_at(b, -1, right_kind)
 
 
 def candidates_for_mode(
@@ -486,39 +483,31 @@ def postprocess(
     cands = candidates_for_mode(signal, config, mode, cam)
     confirmed = ensemble(cands, w, config, peaks)
 
-    pairs: list[tuple[LayoutCorner, LayoutCorner]] = []
+    pair_corners: list[LayoutCorner] = []  # each pair in boundary order
     claimed: set[int] = set()
     seen_pair_cols: set[int] = set()
     for col in confirmed:
         try:
-            near, far = extract_occlusion_pair(signal, col, config)
+            pair = extract_occlusion_pair(signal, col, config)
         except AmbiguityError:
             continue  # kink-only cluster on a continuous boundary: a plain corner
-        key = round(near.column * 2)  # pair members share the jump midpoint
+        jump_col = pair[0].column  # both corners sit on the jump midpoint
+        key = round(jump_col * 2)
         if key in seen_pair_cols:
             continue
         seen_pair_cols.add(key)
-        pairs.append((near, far))
+        pair_corners.extend(pair)
         claimed.update(
             p
             for p in peaks
             if any(
                 cyclic_column_distance(q, p, w) <= config.cluster_radius
-                for q in (col, near.column)
+                for q in (col, jump_col)
             )
         )
 
-    corners: list[LayoutCorner] = [
-        _refined_corner(signal, p, config) for p in peaks if p not in claimed
-    ]
-    for near, far in pairs:
-        # the side whose wall continues leftward must precede the other so the
-        # polygon threads prev corner -> left flank -> right flank -> next
-        left_flank = int(near.column - 0.5) % w
-        near_is_left = abs(signal.y_f[left_flank]) > abs(
-            signal.y_f[(left_flank + 1) % w]
-        )
-        corners.extend((near, far) if near_is_left else (far, near))
+    corners = [_refined_corner(signal, p, config) for p in peaks if p not in claimed]
+    corners += pair_corners
     if len(corners) < 3:
         raise ReconstructionError(
             f"signal yields {len(corners)} corners; a closed layout needs >= 3"

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import AssemblyError, EstimationError, GeometryError, InputError
-from .panorama import ImageGrid, col_to_lon, cyclic_column_distance
+from .panorama import ImageGrid, col_to_lon
 
 if TYPE_CHECKING:  # pragma: no cover
     from .detect import BoundarySignal
@@ -223,49 +223,41 @@ class VisibleLayout:
             raise AssemblyError("floor polygon is self-intersecting or degenerate")
 
     def _check_order_and_pairs(self):
-        n = len(self.corners)
-        paired = [False] * n
-        for i, c in enumerate(self.corners):
+        """One walk over the sorted corners: each occlusion corner pairs with
+        the next corner, which must be of the opposite occlusion kind in the
+        same column, and the near corner must be closer than that partner."""
+        corners, n = self.corners, len(self.corners)
+        h = self.camera.camera_height
+        pairs: list[tuple[int, int]] = []
+        for i, c in enumerate(corners):
             if not 0 <= c.column < self.grid.width:
                 raise AssemblyError(f"corner column {c.column} outside [0, {self.grid.width})")
-            if c.kind is CornerKind.VISIBLE or paired[i]:
-                continue
-            for j in ((i + 1) % n, (i - 1) % n):
-                other = self.corners[j]
-                if (
-                    j != i
-                    and other.kind in OCCLUSION_KINDS
-                    and other.kind is not c.kind
-                    and not paired[j]
-                    and abs(c.column - other.column) < 1e-6
+            if i:
+                prev = corners[i - 1]
+                if c.column < prev.column - 1e-9:
+                    raise AssemblyError("corners not sorted by column")
+                if c.column - prev.column < 1e-9 and not (
+                    c.kind in OCCLUSION_KINDS and prev.kind in OCCLUSION_KINDS
                 ):
-                    paired[i] = paired[j] = True
-                    break
-            else:
+                    raise AssemblyError(f"duplicate corner column {prev.column}")
+            if c.kind is CornerKind.VISIBLE or (pairs and pairs[-1][1] == i):
+                continue
+            partner = corners[i + 1] if i + 1 < n else None
+            if (
+                partner is None
+                or {c.kind, partner.kind} != set(OCCLUSION_KINDS)
+                or abs(c.column - partner.column) >= 1e-6
+            ):
                 raise AssemblyError(
                     f"occlusion corner at column {c.column} has no adjacent partner"
                 )
-        cols = [c.column for c in self.corners]
-        for i in range(n - 1):
-            if cols[i + 1] < cols[i] - 1e-9:
-                raise AssemblyError("corners not sorted by column")
-            if cols[i + 1] - cols[i] < 1e-9:
-                a, b = self.corners[i], self.corners[i + 1]
-                if not (a.kind in OCCLUSION_KINDS and b.kind in OCCLUSION_KINDS):
-                    raise AssemblyError(f"duplicate corner column {cols[i]}")
-        # near must be closer than far on the shared ray
-        for i, c in enumerate(self.corners):
-            if c.kind is CornerKind.OCCLUSION_NEAR:
-                j = (i + 1) % n
-                partner = self.corners[j]
-                if partner.kind is not CornerKind.OCCLUSION_FAR:
-                    partner = self.corners[i - 1]
-                d_near = floor_distance(c.floor_lat, self.camera.camera_height)
-                d_far = floor_distance(partner.floor_lat, self.camera.camera_height)
-                if d_near >= d_far:
-                    raise AssemblyError(
-                        f"occlusion pair at column {c.column}: near point not closer than far"
-                    )
+            near, far = (c, partner) if c.kind is CornerKind.OCCLUSION_NEAR else (partner, c)
+            if floor_distance(near.floor_lat, h) >= floor_distance(far.floor_lat, h):
+                raise AssemblyError(
+                    f"occlusion pair at column {near.column}: near point not closer than far"
+                )
+            pairs.append((i, i + 1))
+        self._pairs = pairs
 
     def lons(self) -> np.ndarray:
         return col_to_lon(np.array([c.column for c in self.corners]), self.grid)
@@ -277,73 +269,17 @@ class VisibleLayout:
         )
 
     def occlusion_pairs(self) -> list[tuple[int, int]]:
-        """Indices (i, j) of adjacent occlusion corners, polygon order."""
-        pairs = []
-        n = len(self.corners)
-        seen = set()
-        for i, c in enumerate(self.corners):
-            if c.kind in OCCLUSION_KINDS and i not in seen:
-                j = (i + 1) % n
-                pairs.append((i, j))
-                seen.update((i, j))
-        return pairs
+        """Indices (i, i + 1) of the occlusion pairs, polygon order."""
+        return list(self._pairs)
 
     def wall_edges(self) -> list[tuple[int, int]]:
         """Corner index pairs of true wall edges (occlusion edges excluded)."""
-        occ = {p for p in self.occlusion_pairs()}
+        occ = set(self._pairs)
         n = len(self.corners)
         return [(i, (i + 1) % n) for i in range(n) if (i, (i + 1) % n) not in occ]
 
     def floor_area(self) -> float:
         return abs(polygon_signed_area(self.floor_points()))
-
-
-def _group_units(corners: Sequence[LayoutCorner], width: int):
-    """Group a corner sequence into singles and cyclically-adjacent occlusion pairs."""
-    n = len(corners)
-    units: list[list[LayoutCorner]] = []
-    used = [False] * n
-    for i, c in enumerate(corners):
-        if used[i]:
-            continue
-        if c.kind is CornerKind.VISIBLE:
-            used[i] = True
-            units.append([c])
-            continue
-        partner_idx = None
-        for j in ((i + 1) % n, (i - 1) % n):
-            o = corners[j]
-            if (
-                not used[j]
-                and j != i
-                and o.kind in OCCLUSION_KINDS
-                and o.kind is not c.kind
-                and cyclic_column_distance(c.column, o.column, width) <= width / 8
-            ):
-                partner_idx = j
-                break
-        if partner_idx is None:
-            raise InputError(f"unpaired occlusion corner at column {c.column}")
-        used[i] = used[partner_idx] = True
-        pair = [c, corners[partner_idx]] if partner_idx == (i + 1) % n else [corners[partner_idx], c]
-        units.append(pair)
-    return units
-
-
-def _snap_pair(pair: list[LayoutCorner], width: int) -> list[LayoutCorner]:
-    """Move both corners of a pair to their mean column so they share a ray."""
-    a, b = pair
-    ca, cb = a.column % width, b.column % width
-    if abs(ca - cb) > width / 2:  # pair straddles the wrap
-        if ca < cb:
-            ca += width
-        else:
-            cb += width
-    col = ((ca + cb) / 2.0) % width
-    return [
-        LayoutCorner(col, a.ceil_lat, a.floor_lat, a.kind),
-        LayoutCorner(col, b.ceil_lat, b.floor_lat, b.kind),
-    ]
 
 
 def assemble_layout(
@@ -354,18 +290,13 @@ def assemble_layout(
 ) -> VisibleLayout:
     """Close a corner sequence into a visible layout.
 
-    Occlusion pairs (which detection returns at slightly different columns)
-    are snapped to their shared mean column before projecting, which makes
-    every occlusion edge exactly collinear with a camera ray. Room height is
-    estimated from the signal. A self-intersecting floor polygon is an
-    assembly error.
+    The corners are sorted by column; the sort is stable, so the two corners
+    of an occlusion pair, which share a column, keep their given boundary
+    order. Room height is estimated from the signal. A self-intersecting
+    floor polygon, or an occlusion corner without an adjacent partner of the
+    opposite kind in its column, is an assembly error.
     """
     grid = grid or ImageGrid(signal.width, signal.width // 2)
     room_height = estimate_room_height(signal, cam)
-    units = _group_units(list(corners), grid.width)
-    snapped = [
-        _snap_pair(u, grid.width) if len(u) == 2 else u for u in units
-    ]
-    snapped.sort(key=lambda u: u[0].column % grid.width)
-    flat = [c for u in snapped for c in u]
-    return VisibleLayout(flat, cam, room_height, grid)
+    ordered = sorted(corners, key=lambda c: c.column)
+    return VisibleLayout(ordered, cam, room_height, grid)

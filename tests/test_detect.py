@@ -23,9 +23,9 @@ from panolayout.errors import (
     InputError,
     ReconstructionError,
 )
-from panolayout.geometry import CornerKind
+from panolayout.geometry import CornerKind, VisibleLayout
 from panolayout.metrics import iou_2d
-from panolayout.synth import corner_bumps, render_signal
+from panolayout.synth import corner_bumps, perturb_signal, render_signal
 
 W = 1024
 
@@ -257,12 +257,35 @@ class TestExtractOcclusionPair:
     def test_oracle_l_room(self, l_room_case):
         _, sig, truth = l_room_case
         (i, j) = truth.occlusion_pairs()[0]
-        near_t, far_t = truth.corners[i], truth.corners[j]
-        near, far = extract_occlusion_pair(sig, near_t.column, DetectConfig())
+        # the pair comes in boundary order, and l_room pairs are near-first
+        near, far = extract_occlusion_pair(sig, truth.corners[i].column, DetectConfig())
         assert near.kind is CornerKind.OCCLUSION_NEAR
         assert far.kind is CornerKind.OCCLUSION_FAR
         # near has the larger floor-latitude magnitude (closer wall)
         assert abs(near.floor_lat) > abs(far.floor_lat)
+
+    @pytest.mark.parametrize("family", ["l_room", "t_room"])
+    def test_boundary_order_matches_truth(self, corpus, family):
+        far_first = 0
+        for seed in range(20):
+            _, sig, truth = corpus[(family, seed)]
+            for i, j in truth.occlusion_pairs():
+                want = [truth.corners[i].kind, truth.corners[j].kind]
+                got = extract_occlusion_pair(sig, truth.corners[i].column, DetectConfig())
+                assert [c.kind for c in got] == want, (seed, i)
+                assert got[0].column == got[1].column
+                far_first += want[0] is CornerKind.OCCLUSION_FAR
+        # every l_room pair is near-first; each t_room has one far-first pair
+        assert far_first == (20 if family == "t_room" else 0)
+
+    def test_seam_jump_left_corner_from_last_column(self):
+        y_f = np.where(np.arange(W) < W // 2, -0.6, -0.3)
+        y_c = np.where(np.arange(W) < W // 2, 0.4, 0.2)
+        sig = BoundarySignal(np.zeros(W), y_c, y_f)
+        left, right = extract_occlusion_pair(sig, W - 1, DetectConfig())
+        assert left.column == right.column == W - 0.5
+        assert (left.kind, left.ceil_lat, left.floor_lat) == (CornerKind.OCCLUSION_FAR, 0.2, -0.3)
+        assert (right.kind, right.ceil_lat, right.floor_lat) == (CornerKind.OCCLUSION_NEAR, 0.4, -0.6)
 
     def test_oblique_wall_endpoints_within_2cm(self, corpus):
         from panolayout.geometry import CameraModel, floor_point
@@ -274,9 +297,8 @@ class TestExtractOcclusionPair:
             _, sig, truth = corpus[("l_room", seed)]
             grid = truth.grid
             for i, j in truth.occlusion_pairs():
-                near_t, far_t = truth.corners[i], truth.corners[j]
-                near, far = extract_occlusion_pair(sig, near_t.column, DetectConfig())
-                for got, want in ((near, near_t), (far, far_t)):
+                pair = extract_occlusion_pair(sig, truth.corners[i].column, DetectConfig())
+                for got, want in zip(pair, (truth.corners[i], truth.corners[j])):
                     p = floor_point(col_to_lon(got.column % grid.width, grid), got.floor_lat, cam)
                     q = floor_point(col_to_lon(want.column % grid.width, grid), want.floor_lat, cam)
                     assert math.hypot(p[0] - q[0], p[1] - q[1]) < 0.02
@@ -314,6 +336,17 @@ class TestPostprocess:
         _, sig, _ = square_case
         with pytest.raises(InputError):
             postprocess(sig, mode="both")
+
+    @pytest.mark.parametrize("sigma", [0.003, 0.005, 0.01])
+    def test_noisy_corpus_gives_layout_or_reconstruction_error(self, corpus, sigma):
+        # no AssemblyError: the pipeline's own pairs always assemble
+        for (family, seed), (_, sig, _) in corpus.items():
+            noisy = perturb_signal(sig, sigma, seed=seed)
+            try:
+                layout = postprocess(noisy)
+            except ReconstructionError:
+                continue
+            assert isinstance(layout, VisibleLayout), (family, seed)
 
     def test_too_few_corners(self):
         sig = BoundarySignal(np.zeros(W), np.full(W, 0.5), np.full(W, -0.5))

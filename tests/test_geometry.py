@@ -26,7 +26,6 @@ from panolayout.geometry import (
     polygon_signed_area,
     wall_distance_profile,
 )
-from panolayout.geometry import _snap_pair
 from panolayout.panorama import ImageGrid, lon_to_col
 from panolayout.synth import SyntheticRoom, perturb_signal, render_signal
 
@@ -118,6 +117,11 @@ class TestEstimateRoomHeight:
             estimate_room_height(sig, CAM)
 
 
+def _corner(column, distance, kind=CornerKind.VISIBLE):
+    """Corner whose floor point lies ``distance`` meters from the camera."""
+    return LayoutCorner(column, 0.5, -math.atan(CAM.camera_height / distance), kind)
+
+
 class TestVisibleLayout:
     def _square_layout(self):
         half = 1.6
@@ -173,6 +177,36 @@ class TestVisibleLayout:
         with pytest.raises(AssemblyError):
             VisibleLayout(corners, CAM, 3.2, grid)
 
+    def test_near_checked_against_its_own_partner(self):
+        # a far-first pair followed by a pair whose far corner (1.5 m) is
+        # nearer than the first pair's near corner (2 m)
+        corners = [
+            _corner(10, 4.0, CornerKind.OCCLUSION_FAR),
+            _corner(10, 2.0, CornerKind.OCCLUSION_NEAR),
+            _corner(20, 1.5, CornerKind.OCCLUSION_FAR),
+            _corner(20, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(40, 2.0),
+            _corner(52, 3.0),
+        ]
+        layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64, 32))
+        assert layout.occlusion_pairs() == [(0, 1), (2, 3)]
+        assert layout.wall_edges() == [(1, 2), (3, 4), (4, 5), (5, 0)]
+
+    def test_last_pair_not_checked_against_first(self):
+        # the near corner at the last index belongs to the pair before it,
+        # not to the far corner at index 0, which is nearer than it
+        corners = [
+            _corner(3, 1.2, CornerKind.OCCLUSION_FAR),
+            _corner(3, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(25, 2.0),
+            _corner(45, 2.0),
+            _corner(60, 3.0, CornerKind.OCCLUSION_FAR),
+            _corner(60, 2.0, CornerKind.OCCLUSION_NEAR),
+        ]
+        layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64, 32))
+        assert layout.occlusion_pairs() == [(0, 1), (4, 5)]
+        assert layout.wall_edges() == [(1, 2), (2, 3), (3, 4), (5, 0)]
+
 
 class TestAssembleLayout:
     def test_oracle_l_room_collinear_occlusion(self, l_room_case):
@@ -191,14 +225,33 @@ class TestAssembleLayout:
         for i, j in layout.occlusion_pairs():
             assert layout.corners[i].column == pytest.approx(layout.corners[j].column, abs=1e-9)
 
-    @pytest.mark.parametrize("partner, mean", [(0.25, 0.125), (1023.75, 1023.875)])
-    def test_snap_pair_seam_column_stays_in_range(self, partner, mean):
-        # -2**-44 % 1024 is 1024.0, the position of column 0; the pair mean
-        # taken across the seam must still fold into [0, 1024)
-        near = LayoutCorner(-(2.0**-44), 0.5, -0.5, CornerKind.OCCLUSION_NEAR)
-        far = LayoutCorner(partner, 0.5, -0.3, CornerKind.OCCLUSION_FAR)
-        snapped = _snap_pair([near, far], 1024)
-        assert [c.column for c in snapped] == [mean, mean]
+    def test_sort_keeps_pair_order(self, square_case):
+        _, sig, _ = square_case
+        corners = [
+            _corner(60, 2.0, CornerKind.OCCLUSION_FAR),
+            _corner(60, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(25, 2.0),
+            _corner(3, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(3, 1.2, CornerKind.OCCLUSION_FAR),
+            _corner(45, 2.0),
+        ]
+        layout = assemble_layout(corners, sig, CAM, ImageGrid(64, 32))
+        assert layout.corners == [corners[i] for i in (3, 4, 2, 5, 0, 1)]
+        assert layout.occlusion_pairs() == [(0, 1), (4, 5)]
+
+    def test_pair_at_two_columns_rejected(self, square_case):
+        # pairs are not moved onto a shared column: both corners must lie on
+        # one camera ray already
+        _, sig, _ = square_case
+        corners = [
+            _corner(5.0, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(5.5, 2.0, CornerKind.OCCLUSION_FAR),
+            _corner(25, 2.0),
+            _corner(45, 2.0),
+        ]
+        with pytest.raises(AssemblyError, match="no adjacent partner"):
+            assemble_layout(corners, sig, CAM, ImageGrid(64, 32))
+
 
 class TestPolygonHelpers:
     def test_signed_area_ccw_positive(self):

@@ -1,0 +1,31 @@
+"""Smoke tests of the experiment scripts on a small noisy corpus."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_noise_sweep_runs_at_documented_sigma():
+    (row,) = _load("noise_sweep").sweep(["square", "l_room"], 2, [0.005])
+    sigma, iou_mean, iou_min, corner_err, exact = row
+    assert sigma == 0.005
+    assert 0 < iou_min <= iou_mean <= 1
+    assert corner_err >= 0
+    assert 0 <= exact <= 1
+
+
+def test_run_ablation_runs_at_documented_sigma():
+    rows = _load("run_ablation").run(["square", "l_room"], 2, 0.005)
+    assert [r[0] for r in rows] == ["2d_only", "3d_only", "ensemble"]
+    for _, jf, iou, err, pair_acc in rows:
+        assert 0 <= jf <= 1 and 0 < iou <= 1 and err >= 0 and 0 <= pair_acc <= 1
