@@ -1,9 +1,9 @@
 """Batch command line: postprocess, evaluate, synth, render.
 
-Exit codes: 0 on success, 1 for usage/configuration problems (bad flags,
-unknown families, empty corpora), 2 when some per-file work failed but the
-run as a whole could continue. Per-file failures go to stderr with the file
-name; summaries go to stdout. Output files are written atomically
+Exit codes: 0 on success, 1 for usage/configuration problems (bad flags or
+settings, unknown families, empty corpora), 2 when some per-file work failed
+but the run as a whole could continue. Per-file failures go to stderr with the
+file name; summaries go to stdout. Output files are written atomically
 (temp + rename) so a crashed run never leaves half-written artifacts.
 """
 
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detect import MODES, DetectConfig, postprocess
@@ -30,49 +30,44 @@ from .fileio import (
     parse_signal_file,
 )
 from .geometry import CameraModel
-from .metrics import evaluate_pair
+from .metrics import REGIMES, evaluate_pair
 from .synth import FIXTURE_FAMILIES, make_fixture, perturb_signal, render_signal
 
 CONFIG_ENV = "PANOLAYOUT_CONFIG"
+
+_CAMERA_KEYS = tuple(f.name for f in dataclasses.fields(CameraModel))
+_DETECT_KEYS = tuple(f.name for f in dataclasses.fields(DetectConfig))
+CONFIG_KEYS = ("mode", "regime", *_CAMERA_KEYS, *_DETECT_KEYS)
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Run-wide knobs; None fields fall back to library defaults."""
+    """Run-wide settings, each checked by the type that uses it."""
 
     mode: str = "ensemble"
-    camera_height: float = 1.6
     regime: str = "non_visible"
-    peak_threshold: float | None = None
-    peak_min_separation: int | None = None
-    slope_threshold: float | None = None
-    kink_threshold: float | None = None
-    jump_ratio: float | None = None
-    cluster_radius: int | None = None
-    extrema_window: int | None = None
-    smoothing_width: int | None = None
+    camera: CameraModel = field(default_factory=CameraModel)
+    detect: DetectConfig = field(default_factory=DetectConfig)
 
-    def detect_config(self) -> DetectConfig:
-        fields = (
-            "peak_threshold",
-            "peak_min_separation",
-            "slope_threshold",
-            "kink_threshold",
-            "jump_ratio",
-            "cluster_radius",
-            "extrema_window",
-            "smoothing_width",
-        )
-        return DetectConfig().with_overrides(**{f: getattr(self, f) for f in fields})
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.regime not in REGIMES:
+            raise UsageError(f"regime must be one of {REGIMES}, got {self.regime!r}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    """defaults -> config file (flag or PANOLAYOUT_CONFIG) -> explicit flags."""
-    cfg = RunConfig()
+    """defaults -> config file (flag or PANOLAYOUT_CONFIG) -> explicit flags.
+
+    The file takes the keys in CONFIG_KEYS; a key set to null, like a flag
+    left out, keeps the value from the step before. Every bad setting is a
+    UsageError naming its key.
+    """
+    doc = {}
     path = path or os.environ.get(CONFIG_ENV)
     if path:
         try:
@@ -83,17 +78,19 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise UsageError(f"config {path} is not valid json: {e}") from None
         if not isinstance(doc, dict):
             raise UsageError(f"config {path} must be a json object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        for key, value in doc.items():
-            if key not in known:
+        for key in doc:
+            if key not in CONFIG_KEYS:
                 raise UsageError(f"config {path}: unknown key {key!r}")
-            setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if cfg.mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    return cfg
+    given = {k: v for src in (doc, overrides) for k, v in src.items() if v is not None}
+    pick = lambda keys: {k: given[k] for k in keys if k in given}
+    try:
+        return RunConfig(
+            **pick(("mode", "regime")),
+            camera=CameraModel(**pick(_CAMERA_KEYS)),
+            detect=DetectConfig(**pick(_DETECT_KEYS)),
+        )
+    except RoomLayoutError as e:
+        raise UsageError(str(e)) from None
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -127,14 +124,12 @@ def cmd_postprocess(args) -> int:
         {"mode": args.mode, "camera_height": args.camera_height},
     )
     out_dir = Path(args.out)
-    cam = CameraModel(cfg.camera_height)
-    detect_cfg = cfg.detect_config()
     failures = 0
     for path in _gather(Path(args.input), ".sig"):
         stem = path.name[: -len(".sig")]
         try:
             signal = parse_signal_file(path.read_bytes())
-            layout = postprocess(signal, detect_cfg, mode=cfg.mode, cam=cam)
+            layout = postprocess(signal, cfg.detect, mode=cfg.mode, cam=cfg.camera)
         except (RoomLayoutError, OSError) as e:
             print(f"{path.name}: {e}", file=sys.stderr)
             failures += 1
@@ -185,6 +180,10 @@ def cmd_synth(args) -> int:
         raise UsageError(f"family must be one of {FIXTURE_FAMILIES}, got {args.family!r}")
     if args.count < 1:
         raise UsageError("count must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
+    if not args.noise_sigma >= 0:
+        raise UsageError(f"noise-sigma must be >= 0, got {args.noise_sigma}")
     out_dir = Path(args.out)
     for k in range(args.count):
         seed = args.seed + k
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="directory of predicted .layout.json")
     p.add_argument("--gt", required=True, help="directory of ground-truth .layout.json")
     p.add_argument("--out", default=None, help="also write a csv report here")
-    p.add_argument("--regime", choices=("non_visible", "visible"), default=None)
+    p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,6 +115,7 @@ class DetectConfig:
     """Tunable thresholds of the detection pipeline.
 
     ``peak_min_separation=None`` resolves to ``width // 64`` at use time.
+    Column counts must be integers; the other thresholds, real numbers.
     """
 
     peak_threshold: float = 0.5
@@ -126,29 +128,23 @@ class DetectConfig:
     smoothing_width: int = 5
 
     def __post_init__(self):
-        positives = {
-            "peak_threshold": self.peak_threshold,
-            "slope_threshold": self.slope_threshold,
-            "kink_threshold": self.kink_threshold,
-            "cluster_radius": self.cluster_radius,
-            "extrema_window": self.extrema_window,
-            "smoothing_width": self.smoothing_width,
-        }
+        reals = ("peak_threshold", "slope_threshold", "kink_threshold")
+        counts = ("cluster_radius", "extrema_window", "smoothing_width")
         if self.peak_min_separation is not None:
-            positives["peak_min_separation"] = self.peak_min_separation
-        for name, value in positives.items():
-            if not value > 0:
-                raise InputError(f"{name} must be > 0, got {value}")
-        if not self.jump_ratio > 1:
-            raise InputError(f"jump_ratio must be > 1, got {self.jump_ratio}")
+            counts += ("peak_min_separation",)
+        checks = ((reals, numbers.Real, "a number"), (counts, numbers.Integral, "an integer"))
+        for names, kind, what in checks:
+            for name in names:
+                value = getattr(self, name)
+                if not (isinstance(value, kind) and value > 0):
+                    raise InputError(f"{name} must be {what} > 0, got {value!r}")
+        if not (isinstance(self.jump_ratio, numbers.Real) and self.jump_ratio > 1):
+            raise InputError(f"jump_ratio must be a number > 1, got {self.jump_ratio!r}")
 
     def min_separation(self, width: int) -> int:
         if self.peak_min_separation is not None:
             return self.peak_min_separation
         return max(1, width // 64)
-
-    def with_overrides(self, **kwargs) -> "DetectConfig":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
@@ -184,6 +180,12 @@ def _box_smooth_cyclic(y: np.ndarray, span: int) -> np.ndarray:
     return acc / span
 
 
+def _source(detector: str, boundary: str) -> DiscontinuitySource:
+    if boundary not in ("floor", "ceiling"):
+        raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
+    return DiscontinuitySource(f"{detector}_{boundary}")
+
+
 def detect_2d(
     y, config: DetectConfig | None = None, boundary: str = "floor"
 ) -> list[DiscontinuityCandidate]:
@@ -195,19 +197,8 @@ def detect_2d(
     pixel-quantized curves are noise-dominated, hence the smoothing.
     """
     config = config or DetectConfig()
-    if boundary not in ("floor", "ceiling"):
-        raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
+    slope_src, kink_src = _source("slope2d", boundary), _source("kink2d", boundary)
     y = np.asarray(y, dtype=float)
-    slope_src = (
-        DiscontinuitySource.SLOPE2D_FLOOR
-        if boundary == "floor"
-        else DiscontinuitySource.SLOPE2D_CEILING
-    )
-    kink_src = (
-        DiscontinuitySource.KINK2D_FLOOR
-        if boundary == "floor"
-        else DiscontinuitySource.KINK2D_CEILING
-    )
     out: list[DiscontinuityCandidate] = []
     dy = np.abs(np.roll(y, -1) - y)
     for i in np.flatnonzero(dy > config.slope_threshold):
@@ -235,17 +226,11 @@ def detect_3d(
     to the free camera-height scale.
     """
     config = config or DetectConfig()
-    if boundary not in ("floor", "ceiling"):
-        raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
+    src = _source("jump3d", boundary)
     d = np.asarray(distance_profile, dtype=float)
     bad = np.flatnonzero(~(d > 0) | ~np.isfinite(d))
     if bad.size:
         raise InputError(f"nonpositive distance at column {int(bad[0])}")
-    src = (
-        DiscontinuitySource.JUMP3D_FLOOR
-        if boundary == "floor"
-        else DiscontinuitySource.JUMP3D_CEILING
-    )
     nxt = np.roll(d, -1)
     ratio = np.maximum(d, nxt) / np.minimum(d, nxt)
     return [
@@ -330,17 +315,19 @@ _FLOOR_LAT_RANGE = (-math.pi / 2 + 1e-6, -1e-6)
 _CEIL_LAT_RANGE = (1e-6, math.pi / 2 - 1e-6)
 
 
-def _extrapolate_half(y: np.ndarray, k: int, toward: int, cap: float, lo: float, hi: float) -> float:
-    """Boundary value half a column beyond column k, following its wall.
+def _clamp(v: float, lo: float, hi: float) -> float:
+    return min(max(v, lo), hi)
 
-    Continues the line through columns k and k - toward for half a column in
-    the `toward` direction. The per-column slope is capped so a second
-    discontinuity inside the stencil cannot fling the estimate off the wall.
+
+def _extrapolate(y: np.ndarray, k: int, toward: int, dist: float, cap: float) -> float:
+    """Boundary value ``dist`` columns beyond column k, following its wall.
+
+    Continues the line through columns k and k - toward in the `toward`
+    direction. The per-column slope is capped so a second discontinuity
+    inside the stencil cannot fling the estimate off the wall.
     """
-    w = len(y)
-    slope = float(y[k] - y[(k - toward) % w])
-    slope = min(max(slope, -cap), cap)
-    return min(max(float(y[k]) + 0.5 * slope, lo), hi)
+    slope = float(y[k] - y[(k - toward) % len(y)])
+    return float(y[k]) + dist * min(max(slope, -cap), cap)
 
 
 def extract_occlusion_pair(
@@ -376,9 +363,11 @@ def extract_occlusion_pair(
     cap = config.slope_threshold
 
     def corner_at(k: int, toward: int, kind: CornerKind) -> LayoutCorner:
-        ceil = _extrapolate_half(signal.y_c, k, toward, cap, *_CEIL_LAT_RANGE)
-        floor = _extrapolate_half(signal.y_f, k, toward, cap, *_FLOOR_LAT_RANGE)
-        return LayoutCorner(col, ceil, floor, kind)
+        ceil = _extrapolate(signal.y_c, k, toward, 0.5, cap)
+        floor = _extrapolate(signal.y_f, k, toward, 0.5, cap)
+        return LayoutCorner(
+            col, _clamp(ceil, *_CEIL_LAT_RANGE), _clamp(floor, *_FLOOR_LAT_RANGE), kind
+        )
 
     near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
     left_kind, right_kind = (
@@ -450,11 +439,9 @@ def _refined_corner(
     cap = config.slope_threshold
 
     def junction(y: np.ndarray, lo: float, hi: float) -> float:
-        slope_l = min(max(float(y[k0] - y[(k0 - 1) % w]), -cap), cap)
-        slope_r = min(max(float(y[(k1 + 1) % w] - y[k1]), -cap), cap)
-        from_left = float(y[k0]) + t * slope_l
-        from_right = float(y[k1]) - (1.0 - t) * slope_r
-        return min(max(0.5 * (from_left + from_right), lo), hi)
+        from_left = _extrapolate(y, k0, +1, t, cap)
+        from_right = _extrapolate(y, k1, -1, 1.0 - t, cap)
+        return _clamp(0.5 * (from_left + from_right), lo, hi)
 
     return LayoutCorner(
         col,

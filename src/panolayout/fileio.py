@@ -104,7 +104,6 @@ class LayoutFile:
 
     corners: tuple
     grid: ImageGrid = field(default_factory=ImageGrid)
-    format_version: int = 1
     camera_height: float | None = None
     room_height: float | None = None
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,8 +36,9 @@ class CameraModel:
     camera_height: float = 1.6
 
     def __post_init__(self):
-        if not self.camera_height > 0:
-            raise InputError(f"camera_height must be > 0, got {self.camera_height}")
+        h = self.camera_height
+        if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+            raise InputError(f"camera_height must be a finite number > 0, got {h!r}")
 
 
 class CornerKind(str, enum.Enum):

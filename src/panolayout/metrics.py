@@ -28,6 +28,8 @@ from .panorama import ImageGrid, lat_to_row, row_to_lat
 
 THRESHOLDS = (5.0, 10.0, 20.0)
 
+REGIMES = ("non_visible", "visible")
+
 CEILING, WALL, FLOOR = 0, 1, 2
 
 
@@ -430,8 +432,8 @@ def evaluate_pair(
 ) -> MetricReport:
     """All metrics for one prediction/ground-truth pair; each layout's boundary
     curves are rendered once, for the pixel, wireframe and plane scores."""
-    if regime not in ("visible", "non_visible"):
-        raise InputError(f"regime must be 'visible' or 'non_visible', got {regime!r}")
+    if regime not in REGIMES:
+        raise InputError(f"regime must be one of {REGIMES}, got {regime!r}")
     grid = grid or pred.grid
     if regime == "visible":
         gt = clip_to_visible(gt)

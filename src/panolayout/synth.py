@@ -273,7 +273,7 @@ def perturb_signal(signal, noise_sigma: float, seed: int = 0):
     """Seeded Gaussian noise on both boundary curves; y_p untouched."""
     from .detect import BoundarySignal
 
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise InputError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     margin = 1e-4
@@ -436,6 +436,8 @@ def make_fixture(family: str, seed: int, grid: ImageGrid | None = None) -> Synth
     """Deterministic, detectable fixture room for a family and seed."""
     if family not in _SAMPLERS:
         raise InputError(f"unknown fixture family {family!r}; choose from {FIXTURE_FAMILIES}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     grid = grid or ImageGrid()
     rng = np.random.default_rng([_FAMILY_IDS[family], seed])
     for _ in range(400):

@@ -4,6 +4,7 @@ Everything goes through main(argv) in-process so exit codes and stdout/stderr
 can be asserted directly; the console-script wrapper adds nothing on top.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from panolayout import (
     postprocess,
     render_signal,
 )
-from panolayout.cli import CONFIG_ENV, main
+from panolayout.cli import CONFIG_ENV, CONFIG_KEYS, main
 
 
 @pytest.fixture
@@ -295,6 +296,19 @@ class TestSynth:
         assert code == 1
         assert "count" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--noise-sigma", "-0.1"), ("--noise-sigma", "nan")],
+    )
+    def test_bad_seed_or_noise_is_usage_error(self, tmp_path, run, flag, value):
+        code, _, err = run(
+            "synth", "--family", "square", flag, value, "--out", str(tmp_path / "d")
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag[2:] in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestRender:
     def test_svg_and_ply_per_layout(self, tmp_path, run):
@@ -453,11 +467,130 @@ class TestRunConfig:
         )
         assert code == 0
         signal = parse_signal_file((tmp_path / "in" / "l_room_0000.sig").read_bytes())
-        detect_cfg = DetectConfig().with_overrides(jump_ratio=1.05, cluster_radius=6)
+        detect_cfg = DetectConfig(jump_ratio=1.05, cluster_radius=6)
         expected = emit_layout_json(
             postprocess(signal, detect_cfg, mode="ensemble", cam=CameraModel(1.6))
         )
         assert (tmp_path / "out" / "l_room_0000.layout.json").read_text() == expected
+
+
+BAD_SETTINGS = [
+    ("jump_ratio", 0.9),
+    ("peak_min_separation", 0),
+    ("smoothing_width", 2.5),
+    ("cluster_radius", "4"),
+    ("camera_height", -1),
+    ("camera_height", "tall"),
+    ("mode", "bogus"),
+    ("regime", "bogus"),
+]
+
+
+def settings_argv(command, tmp_path):
+    """postprocess or evaluate on one clean room, writing under tmp_path/out."""
+    write_corpus(tmp_path / "in", families=("square",), seeds=(0,))
+    if command == "postprocess":
+        return (command, "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"))
+    return (
+        command, "--pred", str(tmp_path / "in"), "--gt", str(tmp_path / "in"),
+        "--out", str(tmp_path / "out" / "report.csv"),
+    )
+
+
+class TestSettings:
+    """Every setting of CONFIG_KEYS, from a file or a flag, is checked before any work."""
+
+    def test_config_keys_are_the_library_fields(self):
+        assert CONFIG_KEYS == (
+            "mode",
+            "regime",
+            "camera_height",
+            "peak_threshold",
+            "peak_min_separation",
+            "slope_threshold",
+            "kink_threshold",
+            "jump_ratio",
+            "cluster_radius",
+            "extrema_window",
+            "smoothing_width",
+        )
+
+    @pytest.mark.parametrize("command", ["postprocess", "evaluate"])
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS)
+    def test_bad_config_value_is_usage_error(self, tmp_path, run, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(*settings_argv(command, tmp_path), "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("postprocess", "--camera-height", "-1"),
+            ("postprocess", "--camera-height", "inf"),
+            ("postprocess", "--mode", "bogus"),
+            ("evaluate", "--regime", "bogus"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, tmp_path, run, command, flag, value):
+        code, out, err = run(*settings_argv(command, tmp_path), flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag[2:] in err or flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_keeps_the_default(self, tmp_path, run):
+        write_corpus(tmp_path / "in", families=("l_room",), seeds=(0,))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(CONFIG_KEYS)))
+        code, _, err = run(
+            "postprocess", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        )
+        assert code == 0 and err == ""
+        signal = parse_signal_file((tmp_path / "in" / "l_room_0000.sig").read_bytes())
+        expected = emit_layout_json(postprocess(signal))
+        assert (tmp_path / "out" / "l_room_0000.layout.json").read_text() == expected
+
+    def test_null_key_beside_a_set_key(self, tmp_path, run):
+        write_corpus(tmp_path / "in", families=("square",), seeds=(0,))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"camera_height": 1.2, "mode": None}))
+        code, _, _ = run(
+            "postprocess", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        )
+        assert code == 0
+        signal = parse_signal_file((tmp_path / "in" / "square_0000.sig").read_bytes())
+        expected = emit_layout_json(postprocess(signal, cam=CameraModel(1.2)))
+        assert (tmp_path / "out" / "square_0000.layout.json").read_text() == expected
+
+    def test_all_defaults_config_gives_identical_files(self, tmp_path, run):
+        write_corpus(tmp_path / "in", families=("square", "l_room", "t_room"), seeds=(0,))
+        cfg = tmp_path / "cfg.json"
+        defaults = dataclasses.asdict(DetectConfig())
+        defaults.update(mode="ensemble", regime="non_visible", camera_height=1.6)
+        assert set(defaults) == set(CONFIG_KEYS)
+        cfg.write_text(json.dumps(defaults))
+        for name, extra in (("plain", ()), ("cfg", ("--config", str(cfg)))):
+            out = tmp_path / name
+            assert run(
+                "postprocess", "--in", str(tmp_path / "in"), "--out", str(out / "pred"), *extra
+            )[0] == 0
+            assert run(
+                "evaluate", "--pred", str(out / "pred"), "--gt", str(tmp_path / "in"),
+                "--out", str(out / "report.csv"), *extra,
+            )[0] == 0
+        plain = sorted(p.relative_to(tmp_path / "plain") for p in (tmp_path / "plain").rglob("*"))
+        assert plain == sorted(p.relative_to(tmp_path / "cfg") for p in (tmp_path / "cfg").rglob("*"))
+        for rel in plain:
+            if (tmp_path / "plain" / rel).is_file():
+                assert (tmp_path / "plain" / rel).read_bytes() == (tmp_path / "cfg" / rel).read_bytes()
 
 
 class TestArgumentErrors:

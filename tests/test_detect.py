@@ -127,6 +127,37 @@ class TestExtractCornerPeaks:
         assert extract_corner_peaks(y) == extract_corner_peaks(rescaled)
 
 
+class TestDetectConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("peak_threshold", 0.0),
+            ("peak_threshold", math.nan),
+            ("slope_threshold", "0.015"),
+            ("kink_threshold", -1.0),
+            ("jump_ratio", 1.0),
+            ("jump_ratio", "big"),
+            ("peak_min_separation", 0),
+            ("cluster_radius", 2.5),
+            ("extrema_window", "5"),
+            ("smoothing_width", 5.0),
+        ],
+    )
+    def test_bad_value_rejected_by_name(self, name, value):
+        with pytest.raises(InputError, match=name):
+            DetectConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = DetectConfig(cluster_radius=np.int64(6), peak_min_separation=np.int32(3))
+        assert cfg.min_separation(W) == 3
+
+
+@pytest.mark.parametrize("detect", [detect_2d, detect_3d])
+def test_unknown_boundary_rejected(detect):
+    with pytest.raises(InputError, match="boundary must be 'floor' or 'ceiling', got 'wall'"):
+        detect(np.full(W, 1.6), boundary="wall")
+
+
 class TestDetect2d:
     def test_constant(self):
         assert detect_2d(np.full(W, -0.5)) == []
@@ -170,6 +201,11 @@ class TestDetect3d:
         cands = detect_3d(d)
         assert [c.column for c in cands] == [k, W - 1]
         assert cands[0].strength == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("boundary", ["floor", "ceiling"])
+    def test_source_tag(self, boundary):
+        d = np.where(np.arange(W) <= 300, 1.6, 3.2)
+        assert {c.source.value for c in detect_3d(d, boundary=boundary)} == {f"jump3d_{boundary}"}
 
     def test_smooth_ramp(self):
         # 1.6 -> 3.2 over 200 columns: per-step ratio about 1.0035 < 1.15

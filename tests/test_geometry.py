@@ -32,6 +32,17 @@ from panolayout.synth import SyntheticRoom, perturb_signal, render_signal
 CAM = CameraModel(1.6)
 
 
+class TestCameraModel:
+    @pytest.mark.parametrize("height", [0.0, -1.0, math.inf, math.nan, "tall", None])
+    def test_bad_height_rejected_by_name(self, height):
+        with pytest.raises(InputError, match="camera_height"):
+            CameraModel(height)
+
+    def test_numbers_accepted(self):
+        assert CameraModel(2).camera_height == 2
+        assert CameraModel(np.float64(1.5)).camera_height == 1.5
+
+
 class TestFloorPoint:
     def test_45_degree_depression(self):
         x, y = floor_point(0.0, -math.pi / 4, CAM)

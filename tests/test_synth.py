@@ -289,6 +289,11 @@ class TestPerturbSignal:
         with pytest.raises(InputError):
             perturb_signal(signal, -0.1)
 
+    def test_nan_sigma_rejected(self):
+        signal, _ = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="noise_sigma"):
+            perturb_signal(signal, math.nan)
+
     def test_noisy_square_still_recovered(self):
         signal, truth = render_signal(make_fixture("square", 5))
         noisy = perturb_signal(signal, 0.002, seed=7)
@@ -308,6 +313,10 @@ class TestMakeFixture:
     def test_unknown_family_rejected(self):
         with pytest.raises(InputError):
             make_fixture("igloo", 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            make_fixture("square", -1)
 
     def test_expected_pair_counts(self):
         expected = {"square": 0, "rectangle": 0, "pentagon": 0, "hexagon": 0, "l_room": 1, "t_room": 2}
