@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -182,8 +183,8 @@ def cmd_synth(args) -> int:
         raise UsageError("count must be >= 1")
     if args.seed < 0:
         raise UsageError(f"seed must be >= 0, got {args.seed}")
-    if not args.noise_sigma >= 0:
-        raise UsageError(f"noise-sigma must be >= 0, got {args.noise_sigma}")
+    if not (math.isfinite(args.noise_sigma) and args.noise_sigma >= 0):
+        raise UsageError(f"noise-sigma must be finite and >= 0, got {args.noise_sigma}")
     out_dir = Path(args.out)
     for k in range(args.count):
         seed = args.seed + k

@@ -199,10 +199,7 @@ def detect_2d(
     config = config or DetectConfig()
     slope_src, kink_src = _source("slope2d", boundary), _source("kink2d", boundary)
     y = np.asarray(y, dtype=float)
-    out: list[DiscontinuityCandidate] = []
     dy = np.abs(np.roll(y, -1) - y)
-    for i in np.flatnonzero(dy > config.slope_threshold):
-        out.append(DiscontinuityCandidate(int(i), slope_src, float(dy[i])))
     # Box smoothing spreads a one-column slope change of m over `span` columns,
     # shrinking its second difference to m/span; the rescale by span turns the
     # statistic back into an estimate of the local slope-change rate so the
@@ -210,10 +207,17 @@ def detect_2d(
     span = config.smoothing_width
     smooth = _box_smooth_cyclic(y, span)
     d2 = span * np.abs(np.roll(smooth, -1) - 2 * smooth + np.roll(smooth, 1))
-    for i in np.flatnonzero(d2 > config.kink_threshold):
-        out.append(DiscontinuityCandidate(int(i), kink_src, float(d2[i])))
-    out.sort(key=lambda c: (c.column, c.source.value))
-    return out
+    kinks = np.flatnonzero(d2 > config.kink_threshold)
+    slopes = np.flatnonzero(dy > config.slope_threshold)
+    cols = np.concatenate([kinks, slopes])
+    strengths = np.concatenate([d2[kinks], dy[slopes]])
+    # a stable sort of kinks-then-slopes is the (column, source.value) order
+    order = np.argsort(cols, kind="stable")
+    is_kink = order < len(kinks)
+    return [
+        DiscontinuityCandidate(c, kink_src if k else slope_src, s)
+        for c, k, s in zip(cols[order].tolist(), is_kink.tolist(), strengths[order].tolist())
+    ]
 
 
 def detect_3d(
@@ -294,21 +298,16 @@ def ensemble(
         raise InputError(
             f"candidate column {int(cols[cols >= width][0])} outside width {width}"
         )
-    confirmed = _cluster_columns(cols, wts, config.cluster_radius, width)
-    snapped: list[float] = []
-    for col in confirmed:
-        near_peaks = [
-            p
-            for p in corner_peaks
-            if cyclic_column_distance(col, p, width) <= config.cluster_radius
-        ]
-        if near_peaks:
-            col = float(
-                min(near_peaks, key=lambda p: cyclic_column_distance(col, p, width))
-            )
-        if not any(cyclic_column_distance(col, s, width) < 1e-9 for s in snapped):
-            snapped.append(col)
-    return sorted(snapped)
+    confirmed = np.array(_cluster_columns(cols, wts, config.cluster_radius, width))
+    peaks = np.asarray(corner_peaks, dtype=float)
+    if peaks.size:
+        dist = cyclic_column_distance(confirmed[:, None], peaks[None, :], width)
+        snaps = dist.min(axis=1) <= config.cluster_radius
+        confirmed[snaps] = peaks[dist.argmin(axis=1)[snaps]]
+    # Snapped columns are peak values (distinct integers), and unsnapped means
+    # lie farther than the cluster radius from every peak and from each other,
+    # so exact duplicates are the only near ones.
+    return np.unique(confirmed).tolist()
 
 
 _FLOOR_LAT_RANGE = (-math.pi / 2 + 1e-6, -1e-6)
@@ -470,31 +469,21 @@ def postprocess(
     cands = candidates_for_mode(signal, config, mode, cam)
     confirmed = ensemble(cands, w, config, peaks)
 
-    pair_corners: list[LayoutCorner] = []  # each pair in boundary order
-    claimed: set[int] = set()
-    seen_pair_cols: set[int] = set()
+    pairs: dict[float, tuple[LayoutCorner, LayoutCorner]] = {}  # by jump column
+    pair_cols: list[float] = []  # confirmed and jump column of each kept pair
     for col in confirmed:
         try:
             pair = extract_occlusion_pair(signal, col, config)
         except AmbiguityError:
             continue  # kink-only cluster on a continuous boundary: a plain corner
         jump_col = pair[0].column  # both corners sit on the jump midpoint
-        key = round(jump_col * 2)
-        if key in seen_pair_cols:
-            continue
-        seen_pair_cols.add(key)
-        pair_corners.extend(pair)
-        claimed.update(
-            p
-            for p in peaks
-            if any(
-                cyclic_column_distance(q, p, w) <= config.cluster_radius
-                for q in (col, jump_col)
-            )
-        )
-
-    corners = [_refined_corner(signal, p, config) for p in peaks if p not in claimed]
-    corners += pair_corners
+        if jump_col not in pairs:
+            pairs[jump_col] = pair
+            pair_cols += [col, jump_col]
+    dist = cyclic_column_distance(np.array(pair_cols)[:, None], np.array(peaks)[None, :], w)
+    claimed = (dist <= config.cluster_radius).any(axis=0).tolist()
+    corners = [_refined_corner(signal, p, config) for p, c in zip(peaks, claimed) if not c]
+    corners += [corner for pair in pairs.values() for corner in pair]
     if len(corners) < 3:
         raise ReconstructionError(
             f"signal yields {len(corners)} corners; a closed layout needs >= 3"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .geometry import (
     VisibleLayout,
     floor_distance,
 )
+from .metrics import MetricReport
 from .panorama import ImageGrid, lat_to_row, row_to_lat
 
 SIGNAL_MAGIC = "PANOSIG1"
@@ -412,15 +413,7 @@ def emit_svg_topdown(*layouts: VisibleLayout, scale: float = 100.0,
 
 # --- metric reports ---
 
-_REPORT_COLUMNS = (
-    "iou2d",
-    "iou3d",
-    "corner_error",
-    "pixel_error",
-    "junction_f",
-    "wireframe_f",
-    "plane_f",
-)
+_REPORT_COLUMNS = tuple(f.name for f in fields(MetricReport))
 
 
 def _report_rows(named_reports) -> list[tuple[str, list[float]]]:

@@ -273,8 +273,10 @@ def perturb_signal(signal, noise_sigma: float, seed: int = 0):
     """Seeded Gaussian noise on both boundary curves; y_p untouched."""
     from .detect import BoundarySignal
 
-    if not noise_sigma >= 0:
-        raise InputError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     margin = 1e-4
     half_pi = np.pi / 2

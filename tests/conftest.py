@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from panolayout import FIXTURE_FAMILIES
+from panolayout.panorama import cyclic_column_distance
 from panolayout.synth import make_fixture, render_signal
 
 CORPUS_SEEDS = 20
@@ -79,3 +80,25 @@ def raster_iou(a, b, resolution=4096):
 def raster():
     """The brute-force raster IoU oracle, ``raster(a, b, resolution=4096)``."""
     return raster_iou
+
+
+def scalar_snap_and_dedupe(confirmed, corner_peaks, width, radius):
+    """Reference for ``ensemble``'s peak snapping, one scalar distance per pair:
+    each cluster mean moves onto its nearest corner peak within the radius (the
+    first such peak on a tie), and a column within 1e-9 of one already kept is
+    dropped."""
+    snapped = []
+    for col in confirmed:
+        near_peaks = [p for p in corner_peaks if cyclic_column_distance(col, p, width) <= radius]
+        if near_peaks:
+            col = float(min(near_peaks, key=lambda p: cyclic_column_distance(col, p, width)))
+        if not any(cyclic_column_distance(col, s, width) < 1e-9 for s in snapped):
+            snapped.append(col)
+    return sorted(snapped)
+
+
+@pytest.fixture(scope="session")
+def scalar_snap():
+    """The scalar snap-and-dedupe reference,
+    ``scalar_snap(confirmed, corner_peaks, width, radius)``."""
+    return scalar_snap_and_dedupe

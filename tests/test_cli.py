@@ -298,7 +298,12 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--seed", "-1"), ("--noise-sigma", "-0.1"), ("--noise-sigma", "nan")],
+        [
+            ("--seed", "-1"),
+            ("--noise-sigma", "-0.1"),
+            ("--noise-sigma", "nan"),
+            ("--noise-sigma", "inf"),
+        ],
     )
     def test_bad_seed_or_noise_is_usage_error(self, tmp_path, run, flag, value):
         code, _, err = run(

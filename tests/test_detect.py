@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from panolayout import detect
 from panolayout.detect import (
     MODES,
     BoundarySignal,
     DetectConfig,
+    DiscontinuityCandidate,
     DiscontinuitySource,
     candidates_for_mode,
     detect_2d,
@@ -190,6 +192,19 @@ class TestDetect2d:
         y = -0.9 + 0.0005 * np.minimum(i, W - i)
         assert slope_candidates(detect_2d(y)) == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1.5, -0.01), min_size=3, max_size=96),
+        st.floats(0.001, 0.2),
+        st.floats(0.001, 0.2),
+        st.integers(1, 7),
+    )
+    def test_sorted_by_column_then_source(self, ys, slope, kink, span):
+        # noise fires both tests at many columns, so kink/slope ties are common
+        cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink, smoothing_width=span)
+        keys = [(c.column, c.source.value) for c in detect_2d(np.array(ys), cfg)]
+        assert keys == sorted(set(keys))
+
 
 class TestDetect3d:
     def test_constant(self):
@@ -244,8 +259,6 @@ class TestDetect3d:
 
 
 def _cand(col, strength=1.0):
-    from panolayout.detect import DiscontinuityCandidate
-
     return DiscontinuityCandidate(col, DiscontinuitySource.SLOPE2D_FLOOR, strength)
 
 
@@ -281,6 +294,47 @@ class TestEnsemble:
         cands = [_cand(c) for c in (0, 1, 10, 11, 20, 21)]
         got = ensemble(cands, W)
         assert got == [pytest.approx(0.5), pytest.approx(10.5), pytest.approx(20.5)]
+
+    def test_seam_cluster_snaps_across_seam(self):
+        # the chain 1022, 0 has mean 1023, two columns from the peak at 1
+        assert ensemble([_cand(1022), _cand(0)], W, corner_peaks=(1, 500)) == [1.0]
+
+    def test_two_clusters_snap_onto_one_peak(self):
+        # 100 and 108 are separate clusters, both 4 columns from the peak at 104
+        assert ensemble([_cand(100), _cand(108)], W, corner_peaks=(104,)) == [104.0]
+
+    @pytest.mark.parametrize("peaks, want", [((97, 103), 97.0), ((103, 97), 103.0)])
+    def test_equidistant_peaks_first_in_order_wins(self, peaks, want):
+        assert ensemble([_cand(100)], W, corner_peaks=peaks) == [want]
+
+    def test_peaks_closer_than_two_radii(self, scalar_snap):
+        # peaks 3 columns apart: the cluster at 101.5 is equidistant from 100
+        # and 103, and the clusters at 107 and 114 both reach the peak at 110
+        cfg = DetectConfig(peak_min_separation=3, cluster_radius=4)
+        y_p = np.zeros(W)
+        y_p[[100, 103, 110]] = [0.9, 0.8, 0.7]
+        peaks = extract_corner_peaks(y_p, cfg)
+        assert peaks == [100, 103, 110]
+        cands = [_cand(c) for c in (101, 102, 107, 114, 120)]
+        got = ensemble(cands, W, cfg, peaks)
+        assert got == [100.0, 110.0, 120.0]
+        clusters = [101.5, 107.0, 114.0, 120.0]
+        assert got == scalar_snap(clusters, peaks, W, cfg.cluster_radius)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_reference(self, scalar_snap, data):
+        # small widths put many clusters across the seam and next to peaks
+        width = data.draw(st.integers(8, 200))
+        radius = data.draw(st.integers(1, 6))
+        cols = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=30))
+        n = len(cols)
+        strengths = data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+        peaks = data.draw(st.lists(st.integers(0, width - 1), max_size=8, unique=True))
+        cands = [_cand(c, s) for c, s in zip(cols, strengths)]
+        clusters = _cluster_columns(np.array(cols), np.array(strengths), radius, width)
+        cfg = DetectConfig(cluster_radius=radius)
+        assert ensemble(cands, width, cfg, peaks) == scalar_snap(clusters, peaks, width, radius)
 
     def test_rejects_bad_width(self):
         with pytest.raises(InputError):
@@ -383,6 +437,29 @@ class TestPostprocess:
             except ReconstructionError:
                 continue
             assert isinstance(layout, VisibleLayout), (family, seed)
+
+    def test_second_column_on_one_jump_adds_no_pair_and_claims_no_peak(
+        self, l_room_case, monkeypatch
+    ):
+        _, sig, _ = l_room_case
+        cfg = DetectConfig(peak_min_separation=4)
+        first = postprocess(sig, cfg)
+        ((i, _),) = first.occlusion_pairs()
+        jump_col = first.corners[i].column
+        # a corner peak 8.5 columns past the jump, out of the pair's reach
+        y_p = sig.y_p.copy()
+        y_p[int(jump_col + 8.5)] = 0.9
+        sig = BoundarySignal(y_p, sig.y_c, sig.y_f)
+        base = postprocess(sig, cfg)
+        assert len(base.corners) == len(first.corners) + 1
+        # a second confirmed column 4 short of that peak finds the same jump
+        extra = jump_col + 4.5
+        assert extract_occlusion_pair(sig, extra, cfg)[0].column == jump_col
+        real_ensemble = detect.ensemble
+        monkeypatch.setattr(detect, "ensemble", lambda *a: sorted(real_ensemble(*a) + [extra]))
+        layout = postprocess(sig, cfg)
+        assert layout.corners == base.corners
+        assert len(layout.occlusion_pairs()) == 1
 
     def test_too_few_corners(self):
         sig = BoundarySignal(np.zeros(W), np.full(W, 0.5), np.full(W, -0.5))

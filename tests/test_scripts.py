@@ -29,3 +29,12 @@ def test_run_ablation_runs_at_documented_sigma():
     assert [r[0] for r in rows] == ["2d_only", "3d_only", "ensemble"]
     for _, jf, iou, err, pair_acc in rows:
         assert 0 <= jf <= 1 and 0 < iou <= 1 and err >= 0 and 0 <= pair_acc <= 1
+
+
+def test_layout_digest_repeats():
+    digest = _load("layout_digest").digest
+    first = digest(["square", "l_room"], [0, 1])
+    assert digest(["square", "l_room"], [0, 1]) == first
+    hexdigest, outcomes = first
+    assert len(hexdigest) == 64
+    assert sum(outcomes.values()) == 2 * 2 * 4 * 3

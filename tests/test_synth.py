@@ -294,6 +294,17 @@ class TestPerturbSignal:
         with pytest.raises(InputError, match="noise_sigma"):
             perturb_signal(signal, math.nan)
 
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf])
+    def test_infinite_sigma_rejected(self, sigma):
+        signal, _ = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="noise_sigma"):
+            perturb_signal(signal, sigma)
+
+    def test_negative_seed_rejected(self):
+        signal, _ = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="seed"):
+            perturb_signal(signal, 0.01, seed=-1)
+
     def test_noisy_square_still_recovered(self):
         signal, truth = render_signal(make_fixture("square", 5))
         noisy = perturb_signal(signal, 0.002, seed=7)
