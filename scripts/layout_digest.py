@@ -6,15 +6,18 @@ in both regimes, or the class of the error that stopped it, and hashes the
 records in order. A change meant to leave every output bit-identical must
 print the same digest before and after. The default corpus is 240 rooms
 (fixture seeds 0-19 and 1000-1019 per family) at four noise levels in three
-modes: 2880 runs. Noise seeds are the fixture seeds.
+modes: 2880 runs. Noise seeds are the fixture seeds. With --expect, a digest
+other than the given one is reported with both digests and exit status 1.
 
 Usage:
     python3 scripts/layout_digest.py
     python3 scripts/layout_digest.py --families square l_room --seeds 0 1
+    python3 scripts/layout_digest.py --expect <hex digest of the parent commit>
 """
 
 import argparse
 import hashlib
+import sys
 from collections import Counter
 
 from panolayout import (
@@ -60,18 +63,23 @@ def digest(families=FIXTURE_FAMILIES, seeds=SEEDS, sigmas=SIGMAS, modes=MODES):
     return h.hexdigest(), outcomes
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--families", nargs="*", default=list(FIXTURE_FAMILIES))
     ap.add_argument("--seeds", nargs="*", type=int, default=SEEDS, help="fixture seeds")
     ap.add_argument("--sigmas", nargs="*", type=float, default=SIGMAS)
-    args = ap.parse_args()
+    ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is this one")
+    args = ap.parse_args(argv)
 
     hexdigest, outcomes = digest(args.families, args.seeds, args.sigmas)
     print(f"runs {sum(outcomes.values())}: " + ", ".join(
         f"{name} {n}" for name, n in sorted(outcomes.items())))
     print(hexdigest)
+    if args.expect is not None and hexdigest != args.expect:
+        print(f"digest mismatch: expected {args.expect}, got {hexdigest}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,7 +15,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,19 +95,9 @@ class DiscontinuitySource(str, enum.Enum):
     JUMP3D_FLOOR = "jump3d_floor"
 
 
-@dataclass(frozen=True)
-class DiscontinuityCandidate:
-    """A column suspected to sit at a boundary discontinuity."""
-
-    column: int
-    source: DiscontinuitySource
-    strength: float
-
-    def __post_init__(self):
-        if self.column < 0:
-            raise InputError(f"candidate column {self.column} negative")
-        if not self.strength > 0:
-            raise InputError(f"candidate strength must be > 0, got {self.strength}")
+# One row per column suspected to sit at a boundary discontinuity; ``source``
+# holds a DiscontinuitySource value.
+CANDIDATE_DTYPE = np.dtype([("column", np.int64), ("source", "U15"), ("strength", float)])
 
 
 @dataclass
@@ -161,13 +151,13 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
         & (y_p >= np.roll(y_p, -1))
         & (y_p >= config.peak_threshold)
     )
-    candidates = np.flatnonzero(is_peak)
-    order = sorted(candidates, key=lambda c: (-y_p[c], c))
+    cands = np.flatnonzero(is_peak)
+    order = cands[np.lexsort((cands, -y_p[cands]))]
     min_sep = config.min_separation(w)
     kept: list[int] = []
-    for c in order:
+    for c in order.tolist():
         if all(cyclic_column_distance(c, k, w) >= min_sep for k in kept):
-            kept.append(int(c))
+            kept.append(c)
     return sorted(kept)
 
 
@@ -180,20 +170,27 @@ def _box_smooth_cyclic(y: np.ndarray, span: int) -> np.ndarray:
     return acc / span
 
 
-def _source(detector: str, boundary: str) -> DiscontinuitySource:
+def _source(detector: str, boundary: str) -> str:
     if boundary not in ("floor", "ceiling"):
         raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
-    return DiscontinuitySource(f"{detector}_{boundary}")
+    return DiscontinuitySource(f"{detector}_{boundary}").value
+
+
+def _candidates(columns: np.ndarray, source: str, strengths: np.ndarray) -> np.ndarray:
+    cands = np.empty(len(columns), CANDIDATE_DTYPE)
+    cands["column"], cands["source"], cands["strength"] = columns, source, strengths
+    return cands
 
 
 def detect_2d(
     y, config: DetectConfig | None = None, boundary: str = "floor"
-) -> list[DiscontinuityCandidate]:
+) -> np.ndarray:
     """Image-space discontinuity candidates on one boundary curve.
 
     Emits a slope candidate at column i when |y[i+1] - y[i]| exceeds the
     slope threshold, and a kink candidate where the second difference of the
-    box-smoothed curve exceeds the kink threshold. Raw second differences of
+    box-smoothed curve exceeds the kink threshold, as one ``CANDIDATE_DTYPE``
+    array ordered by column, then source. Raw second differences of
     pixel-quantized curves are noise-dominated, hence the smoothing.
     """
     config = config or DetectConfig()
@@ -209,25 +206,22 @@ def detect_2d(
     d2 = span * np.abs(np.roll(smooth, -1) - 2 * smooth + np.roll(smooth, 1))
     kinks = np.flatnonzero(d2 > config.kink_threshold)
     slopes = np.flatnonzero(dy > config.slope_threshold)
-    cols = np.concatenate([kinks, slopes])
-    strengths = np.concatenate([d2[kinks], dy[slopes]])
-    # a stable sort of kinks-then-slopes is the (column, source.value) order
-    order = np.argsort(cols, kind="stable")
-    is_kink = order < len(kinks)
-    return [
-        DiscontinuityCandidate(c, kink_src if k else slope_src, s)
-        for c, k, s in zip(cols[order].tolist(), is_kink.tolist(), strengths[order].tolist())
-    ]
+    cands = np.concatenate(
+        [_candidates(kinks, kink_src, d2[kinks]), _candidates(slopes, slope_src, dy[slopes])]
+    )
+    # a stable sort of kinks-then-slopes is the (column, source) order
+    return cands[np.argsort(cands["column"], kind="stable")]
 
 
 def detect_3d(
     distance_profile, config: DetectConfig | None = None, boundary: str = "floor"
-) -> list[DiscontinuityCandidate]:
+) -> np.ndarray:
     """Plan-space discontinuity candidates on a wall-distance profile.
 
     A candidate fires at column i when the larger of d[i], d[i+1] exceeds the
     smaller by the configured ratio; the ratio test makes detection invariant
-    to the free camera-height scale.
+    to the free camera-height scale. Returns a ``CANDIDATE_DTYPE`` array
+    ordered by column.
     """
     config = config or DetectConfig()
     src = _source("jump3d", boundary)
@@ -237,10 +231,8 @@ def detect_3d(
         raise InputError(f"nonpositive distance at column {int(bad[0])}")
     nxt = np.roll(d, -1)
     ratio = np.maximum(d, nxt) / np.minimum(d, nxt)
-    return [
-        DiscontinuityCandidate(int(i), src, float(ratio[i]))
-        for i in np.flatnonzero(ratio > config.jump_ratio)
-    ]
+    cols = np.flatnonzero(ratio > config.jump_ratio)
+    return _candidates(cols, src, ratio[cols])
 
 
 def _cluster_columns(
@@ -273,33 +265,38 @@ def _cluster_columns(
 
 
 def ensemble(
-    candidates: Iterable[DiscontinuityCandidate],
+    candidates: np.ndarray,
     width: int,
     config: DetectConfig | None = None,
     corner_peaks: Sequence[int] = (),
 ) -> list[float]:
     """Cluster candidates from any subset of sources into confirmed columns.
 
-    Candidates within the cluster radius of each other (cyclically, which is
-    why the panorama width is required) merge by single linkage; each cluster
-    confirms one column, its strength-weighted mean. A cluster that lands
-    within the cluster radius of an existing corner peak is pulled onto that
-    peak instead of spawning a second corner next to it.
+    Candidates (a 1D ``CANDIDATE_DTYPE`` array with columns in [0, width)
+    and strengths > 0) within the cluster radius of each other (cyclically,
+    which is why the panorama width is required) merge by single linkage;
+    each cluster confirms one column, its strength-weighted mean. A cluster
+    that lands within the cluster radius of a corner peak (a column in
+    [0, width)) is pulled onto that peak instead of spawning a second corner
+    next to it.
     """
     config = config or DetectConfig()
-    candidates = list(candidates)
-    if not candidates:
-        return []
+    if not (isinstance(candidates, np.ndarray) and candidates.dtype == CANDIDATE_DTYPE):
+        raise InputError("candidates must be an array of CANDIDATE_DTYPE")
+    if candidates.ndim != 1:
+        raise InputError(f"candidates must be 1D, got shape {candidates.shape}")
     if width < 1:
         raise InputError(f"width must be >= 1, got {width}")
-    cols = np.array([c.column for c in candidates])
-    wts = np.array([c.strength for c in candidates])
-    if np.any(cols >= width):
-        raise InputError(
-            f"candidate column {int(cols[cols >= width][0])} outside width {width}"
-        )
-    confirmed = np.array(_cluster_columns(cols, wts, config.cluster_radius, width))
+    cols, wts = candidates["column"], candidates["strength"]
     peaks = np.asarray(corner_peaks, dtype=float)
+    for what, values in (("candidate column", cols), ("corner peak", peaks)):
+        bad = ~((values >= 0) & (values < width))
+        if bad.any():
+            raise InputError(f"{what} {values[bad][0]} outside [0, {width})")
+    bad = ~(wts > 0)
+    if bad.any():
+        raise InputError(f"candidate strength must be > 0, got {wts[bad][0]}")
+    confirmed = np.array(_cluster_columns(cols, wts, config.cluster_radius, width))
     if peaks.size:
         dist = cyclic_column_distance(confirmed[:, None], peaks[None, :], width)
         snaps = dist.min(axis=1) <= config.cluster_radius
@@ -382,23 +379,24 @@ def candidates_for_mode(
     config: DetectConfig | None = None,
     mode: str = "ensemble",
     cam: CameraModel | None = None,
-) -> list[DiscontinuityCandidate]:
-    """Discontinuity candidates from the sources the mode enables."""
+) -> np.ndarray:
+    """Candidates of the sources the mode enables, in one ``CANDIDATE_DTYPE``
+    array: 2D ceiling, 2D floor, 3D floor, then 3D ceiling."""
     config = config or DetectConfig()
     cam = cam or CameraModel()
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    cands: list[DiscontinuityCandidate] = []
+    parts = []
     if mode in ("2d_only", "ensemble"):
-        cands += detect_2d(signal.y_c, config, boundary="ceiling")
-        cands += detect_2d(signal.y_f, config, boundary="floor")
+        parts.append(detect_2d(signal.y_c, config, boundary="ceiling"))
+        parts.append(detect_2d(signal.y_f, config, boundary="floor"))
     if mode in ("3d_only", "ensemble"):
         room_height = estimate_room_height(signal, cam)
         d_floor = wall_distance_profile(signal.y_f, cam)
         d_ceil = wall_distance_profile(signal.y_c, cam, room_height)
-        cands += detect_3d(d_floor, config, boundary="floor")
-        cands += detect_3d(d_ceil, config, boundary="ceiling")
-    return cands
+        parts.append(detect_3d(d_floor, config, boundary="floor"))
+        parts.append(detect_3d(d_ceil, config, boundary="ceiling"))
+    return np.concatenate(parts)
 
 
 def _refine_peak_column(y_p: np.ndarray, p: int) -> float:

@@ -346,11 +346,11 @@ class TestGate:
         profile = np.concatenate([np.full(300, 2.0), np.full(424, 3.1), np.full(300, 2.0)])
         small = detect_3d(profile)
         large = detect_3d(profile * 3.7)
-        if not small:
+        if not len(small):
             failures.append("detect_3d found nothing on a step profile")
-        if [c.column for c in small] != [c.column for c in large]:
+        if small["column"].tolist() != large["column"].tolist():
             failures.append("detect_3d columns changed under uniform rescaling")
-        elif any(abs(a.strength - b.strength) > 1e-12 for a, b in zip(small, large)):
+        elif np.any(np.abs(small["strength"] - large["strength"]) > 1e-12):
             failures.append("detect_3d strengths changed under uniform rescaling")
 
         gate("round trips at 1e-9, detection equivariant under 1000 shifts, scale-free 3d test", failures)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from panolayout import detect
 from panolayout.detect import (
+    CANDIDATE_DTYPE,
     MODES,
     BoundarySignal,
     DetectConfig,
-    DiscontinuityCandidate,
     DiscontinuitySource,
     candidates_for_mode,
     detect_2d,
@@ -33,13 +34,44 @@ W = 1024
 
 
 def slope_candidates(cands):
-    return [c for c in cands if c.source in (
-        DiscontinuitySource.SLOPE2D_FLOOR, DiscontinuitySource.SLOPE2D_CEILING)]
+    return cands[np.char.startswith(cands["source"], "slope2d_")]
 
 
 def kink_candidates(cands):
-    return [c for c in cands if c.source in (
-        DiscontinuitySource.KINK2D_FLOOR, DiscontinuitySource.KINK2D_CEILING)]
+    return cands[np.char.startswith(cands["source"], "kink2d_")]
+
+
+def scalar_detect_2d(ys, cfg, boundary):
+    """Reference for ``detect_2d``, one column at a time: a row (column, source
+    value, strength) for a kink, then one for a slope, in column order."""
+    n, span = len(ys), cfg.smoothing_width
+    smooth = []
+    for i in range(n):
+        acc = 0.0
+        for k in range(-(span // 2), span - span // 2):
+            acc += ys[(i + k) % n]
+        smooth.append(acc / span)
+    rows = []
+    for i in range(n):
+        d2 = span * abs(smooth[(i + 1) % n] - 2 * smooth[i] + smooth[i - 1])
+        if d2 > cfg.kink_threshold:
+            rows.append((i, f"kink2d_{boundary}", d2))
+        dy = abs(ys[(i + 1) % n] - ys[i])
+        if dy > cfg.slope_threshold:
+            rows.append((i, f"slope2d_{boundary}", dy))
+    return rows
+
+
+def scalar_detect_3d(ds, cfg, boundary):
+    """Reference for ``detect_3d``, one column at a time: (column, source value,
+    strength) rows in column order."""
+    rows = []
+    for i in range(len(ds)):
+        a, b = ds[i], ds[(i + 1) % len(ds)]
+        ratio = max(a, b) / min(a, b)
+        if ratio > cfg.jump_ratio:
+            rows.append((i, f"jump3d_{boundary}", ratio))
+    return rows
 
 
 class TestBoundarySignal:
@@ -162,21 +194,21 @@ def test_unknown_boundary_rejected(detect):
 
 class TestDetect2d:
     def test_constant(self):
-        assert detect_2d(np.full(W, -0.5)) == []
+        assert len(detect_2d(np.full(W, -0.5))) == 0
 
     def test_step_slope_candidate(self):
         k = 300
         y = np.where(np.arange(W) <= k, -0.5, -0.6)
         cands = slope_candidates(detect_2d(y))
-        assert [c.column for c in cands] == [k, W - 1]
-        assert cands[0].strength == pytest.approx(0.1, abs=1e-12)
-        assert cands[0].source is DiscontinuitySource.SLOPE2D_FLOOR
+        assert cands["column"].tolist() == [k, W - 1]
+        assert cands["strength"][0] == pytest.approx(0.1, abs=1e-12)
+        assert cands["source"][0] == DiscontinuitySource.SLOPE2D_FLOOR.value
 
     def test_ceiling_source_tag(self):
         k = 300
         y = np.where(np.arange(W) <= k, 0.5, 0.6)
         cands = slope_candidates(detect_2d(y, boundary="ceiling"))
-        assert cands[0].source is DiscontinuitySource.SLOPE2D_CEILING
+        assert cands["source"][0] == DiscontinuitySource.SLOPE2D_CEILING.value
 
     def test_kink_candidate_near_corner(self):
         # narrow tent: slope flips +0.01 -> -0.01 per column at the apex k
@@ -184,13 +216,13 @@ class TestDetect2d:
         i = np.arange(W)
         y = -0.8 + 0.01 * np.maximum(0, 100 - np.abs(i - k))
         cands = kink_candidates(detect_2d(y))
-        assert any(abs(c.column - k) <= 2 for c in cands)
+        assert (np.abs(cands["column"] - k) <= 2).any()
 
     def test_smooth_ramp_no_slope_candidates(self):
         # 0.0005 rad/column stays under the 0.015 threshold
         i = np.arange(W)
         y = -0.9 + 0.0005 * np.minimum(i, W - i)
-        assert slope_candidates(detect_2d(y)) == []
+        assert len(slope_candidates(detect_2d(y))) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -199,28 +231,41 @@ class TestDetect2d:
         st.floats(0.001, 0.2),
         st.integers(1, 7),
     )
-    def test_sorted_by_column_then_source(self, ys, slope, kink, span):
+    def test_matches_scalar_reference(self, ys, slope, kink, span):
         # noise fires both tests at many columns, so kink/slope ties are common
         cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink, smoothing_width=span)
-        keys = [(c.column, c.source.value) for c in detect_2d(np.array(ys), cfg)]
-        assert keys == sorted(set(keys))
+        for boundary in ("floor", "ceiling"):
+            got = detect_2d(np.array(ys), cfg, boundary).tolist()
+            assert got == scalar_detect_2d(ys, cfg, boundary)
 
 
 class TestDetect3d:
     def test_constant(self):
-        assert detect_3d(np.full(W, 1.6)) == []
+        assert len(detect_3d(np.full(W, 1.6))) == 0
 
     def test_step_candidate(self):
         k = 300
         d = np.where(np.arange(W) <= k, 1.6, 3.2)
         cands = detect_3d(d)
-        assert [c.column for c in cands] == [k, W - 1]
-        assert cands[0].strength == pytest.approx(2.0, abs=1e-12)
+        assert cands["column"].tolist() == [k, W - 1]
+        assert cands["strength"][0] == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("boundary", ["floor", "ceiling"])
     def test_source_tag(self, boundary):
         d = np.where(np.arange(W) <= 300, 1.6, 3.2)
-        assert {c.source.value for c in detect_3d(d, boundary=boundary)} == {f"jump3d_{boundary}"}
+        assert set(detect_3d(d, boundary=boundary)["source"]) == {f"jump3d_{boundary}"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # repeated values give flat runs between the jumps
+        st.lists(st.sampled_from([0.5, 1.6, 1.7, 3.2]) | st.floats(0.1, 10.0), min_size=2),
+        st.floats(1.001, 3.0),
+        st.sampled_from(["floor", "ceiling"]),
+    )
+    def test_matches_scalar_reference(self, ds, ratio, boundary):
+        cfg = DetectConfig(jump_ratio=ratio)
+        got = detect_3d(np.array(ds), cfg, boundary).tolist()
+        assert got == scalar_detect_3d(ds, cfg, boundary)
 
     def test_smooth_ramp(self):
         # 1.6 -> 3.2 over 200 columns: per-step ratio about 1.0035 < 1.15
@@ -228,7 +273,7 @@ class TestDetect3d:
         d[:200] = np.linspace(1.6, 3.2, 200)
         d[200:600] = 3.2
         d[600:800] = np.linspace(3.2, 1.6, 200)
-        assert detect_3d(d) == []
+        assert len(detect_3d(d)) == 0
 
     def test_nonpositive_rejected(self):
         d = np.full(W, 1.6)
@@ -243,9 +288,7 @@ class TestDetect3d:
         base = detect_3d(d)
         for s in (0.5, 2.0, 1024.0):
             scaled = detect_3d(d * s)
-            assert [(c.column, c.strength) for c in scaled] == [
-                (c.column, c.strength) for c in base
-            ]
+            assert scaled.tolist() == base.tolist()
 
     @given(st.floats(min_value=0.1, max_value=50.0))
     def test_scale_invariance_columns(self, s):
@@ -253,59 +296,60 @@ class TestDetect3d:
         d[100:180] = 3.1
         base = detect_3d(d)
         scaled = detect_3d(d * s)
-        assert [c.column for c in scaled] == [c.column for c in base]
-        for a, b in zip(scaled, base):
-            assert a.strength == pytest.approx(b.strength, rel=1e-12)
+        assert scaled["column"].tolist() == base["column"].tolist()
+        assert scaled["strength"] == pytest.approx(base["strength"], rel=1e-12)
 
 
-def _cand(col, strength=1.0):
-    return DiscontinuityCandidate(col, DiscontinuitySource.SLOPE2D_FLOOR, strength)
+def _cands(cols, strengths=1.0):
+    cands = np.empty(len(cols), CANDIDATE_DTYPE)
+    cands["column"], cands["source"], cands["strength"] = cols, "slope2d_floor", strengths
+    return cands
 
 
 class TestEnsemble:
     def test_two_close_candidates_merge(self):
-        cands = [_cand(100), _cand(102)]
+        cands = _cands([100, 102])
         assert ensemble(cands, W) == [pytest.approx(101.0)]
 
     def test_weighted_mean(self):
-        cands = [_cand(100, 1.0), _cand(102, 3.0)]
+        cands = _cands([100, 102], [1.0, 3.0])
         assert ensemble(cands, W) == [pytest.approx(101.5)]
 
     def test_single_candidate(self):
-        assert ensemble([_cand(77)], W) == [pytest.approx(77.0)]
+        assert ensemble(_cands([77]), W) == [pytest.approx(77.0)]
 
     def test_cyclic_wrap_cluster(self):
-        got = ensemble([_cand(1022), _cand(0)], W)
+        got = ensemble(_cands([1022, 0]), W)
         assert got == [pytest.approx(1023.0)]
 
     def test_wrap_cluster_mean_position(self):
-        got = ensemble([_cand(1020), _cand(0)], W)
+        got = ensemble(_cands([1020, 0]), W)
         assert got == [pytest.approx(1022.0)]
 
     def test_distant_candidates_stay_separate(self):
-        got = ensemble([_cand(100), _cand(200)], W)
+        got = ensemble(_cands([100, 200]), W)
         assert got == [pytest.approx(100.0), pytest.approx(200.0)]
 
     def test_snap_to_corner_peak(self):
-        got = ensemble([_cand(100), _cand(102)], W, corner_peaks=(99,))
+        got = ensemble(_cands([100, 102]), W, corner_peaks=(99,))
         assert got == [pytest.approx(99.0)]
 
     def test_multi_cluster_split(self):
-        cands = [_cand(c) for c in (0, 1, 10, 11, 20, 21)]
+        cands = _cands([0, 1, 10, 11, 20, 21])
         got = ensemble(cands, W)
         assert got == [pytest.approx(0.5), pytest.approx(10.5), pytest.approx(20.5)]
 
     def test_seam_cluster_snaps_across_seam(self):
         # the chain 1022, 0 has mean 1023, two columns from the peak at 1
-        assert ensemble([_cand(1022), _cand(0)], W, corner_peaks=(1, 500)) == [1.0]
+        assert ensemble(_cands([1022, 0]), W, corner_peaks=(1, 500)) == [1.0]
 
     def test_two_clusters_snap_onto_one_peak(self):
         # 100 and 108 are separate clusters, both 4 columns from the peak at 104
-        assert ensemble([_cand(100), _cand(108)], W, corner_peaks=(104,)) == [104.0]
+        assert ensemble(_cands([100, 108]), W, corner_peaks=(104,)) == [104.0]
 
     @pytest.mark.parametrize("peaks, want", [((97, 103), 97.0), ((103, 97), 103.0)])
     def test_equidistant_peaks_first_in_order_wins(self, peaks, want):
-        assert ensemble([_cand(100)], W, corner_peaks=peaks) == [want]
+        assert ensemble(_cands([100]), W, corner_peaks=peaks) == [want]
 
     def test_peaks_closer_than_two_radii(self, scalar_snap):
         # peaks 3 columns apart: the cluster at 101.5 is equidistant from 100
@@ -315,7 +359,7 @@ class TestEnsemble:
         y_p[[100, 103, 110]] = [0.9, 0.8, 0.7]
         peaks = extract_corner_peaks(y_p, cfg)
         assert peaks == [100, 103, 110]
-        cands = [_cand(c) for c in (101, 102, 107, 114, 120)]
+        cands = _cands([101, 102, 107, 114, 120])
         got = ensemble(cands, W, cfg, peaks)
         assert got == [100.0, 110.0, 120.0]
         clusters = [101.5, 107.0, 114.0, 120.0]
@@ -331,16 +375,45 @@ class TestEnsemble:
         n = len(cols)
         strengths = data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
         peaks = data.draw(st.lists(st.integers(0, width - 1), max_size=8, unique=True))
-        cands = [_cand(c, s) for c, s in zip(cols, strengths)]
+        cands = _cands(cols, strengths)
         clusters = _cluster_columns(np.array(cols), np.array(strengths), radius, width)
         cfg = DetectConfig(cluster_radius=radius)
         assert ensemble(cands, width, cfg, peaks) == scalar_snap(clusters, peaks, width, radius)
 
     def test_rejects_bad_width(self):
         with pytest.raises(InputError):
-            ensemble([_cand(5)], 0)
+            ensemble(_cands([5]), 0)
         with pytest.raises(InputError):
-            ensemble([_cand(70)], 64)
+            ensemble(_cands([70]), 64)
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            [(5, "slope2d_floor", 1.0)],
+            np.array([5, 9]),
+            np.array([(5, 1.0)], dtype=[("column", np.int64), ("strength", float)]),
+            _cands([5, 9]).reshape(2, 1),
+        ],
+        ids=["list", "int_array", "other_dtype", "2d"],
+    )
+    def test_rejects_non_candidate_array(self, cands):
+        with pytest.raises(InputError, match="candidates must be"):
+            ensemble(cands, 64)
+
+    @pytest.mark.parametrize("col", [-1, 64])
+    def test_rejects_column_outside_width(self, col):
+        with pytest.raises(InputError, match=f"candidate column {col} outside"):
+            ensemble(_cands([5, col]), 64)
+
+    @pytest.mark.parametrize("strength", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_strength(self, strength):
+        with pytest.raises(InputError, match="strength must be > 0"):
+            ensemble(_cands([5, 9], [1.0, strength]), 64)
+
+    @pytest.mark.parametrize("peak", [70, -60])
+    def test_rejects_peak_outside_width(self, peak):
+        with pytest.raises(InputError, match=f"corner peak {peak}.0 outside"):
+            ensemble(_cands([5]), 64, corner_peaks=(peak,))
 
 
 class TestExtractOcclusionPair:
@@ -480,11 +553,14 @@ class TestPostprocess:
         both = candidates_for_mode(sig, cfg, "ensemble")
         only2d = candidates_for_mode(sig, cfg, "2d_only")
         only3d = candidates_for_mode(sig, cfg, "3d_only")
-        key = lambda c: (c.column, c.source, c.strength)
-        assert sorted(map(key, both)) == sorted(map(key, only2d + only3d))
+        assert both.tolist() == np.concatenate([only2d, only3d]).tolist()
+        # "kink2d_floor" -> "2d_floor": the detector and boundary of each source
+        kinds = [f"{d[-2:]}_{b}" for d, b in (s.split("_") for s in both["source"].tolist())]
+        blocks = [kind for kind, _ in itertools.groupby(kinds)]
+        assert blocks == ["2d_ceiling", "2d_floor", "3d_floor", "3d_ceiling"]
         peaks = tuple(extract_corner_peaks(sig.y_p, cfg))
         assert ensemble(both, sig.width, cfg, peaks) == ensemble(
-            only2d + only3d, sig.width, cfg, peaks
+            np.concatenate([only2d, only3d]), sig.width, cfg, peaks
         )
 
 class TestRefinePeakColumn:

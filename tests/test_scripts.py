@@ -38,3 +38,15 @@ def test_layout_digest_repeats():
     hexdigest, outcomes = first
     assert len(hexdigest) == 64
     assert sum(outcomes.values()) == 2 * 2 * 4 * 3
+
+
+def test_layout_digest_expect_sets_exit_status(capsys):
+    script = _load("layout_digest")
+    corpus = ["--families", "square", "l_room", "--seeds", "0", "1"]
+    hexdigest, _ = script.digest(["square", "l_room"], [0, 1])
+    assert script.main([*corpus, "--expect", hexdigest]) == 0
+    assert "mismatch" not in capsys.readouterr().out
+    wrong = "0" * 64
+    assert script.main([*corpus, "--expect", wrong]) == 1
+    out = capsys.readouterr().out
+    assert f"digest mismatch: expected {wrong}, got {hexdigest}" in out
