@@ -196,6 +196,9 @@ def detect_2d(
     config = config or DetectConfig()
     slope_src, kink_src = _source("slope2d", boundary), _source("kink2d", boundary)
     y = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise InputError(f"non-finite boundary value at column {int(bad[0])}")
     dy = np.abs(np.roll(y, -1) - y)
     # Box smoothing spreads a one-column slope change of m over `span` columns,
     # shrinking its second difference to m/span; the rescale by span turns the
@@ -289,6 +292,8 @@ def ensemble(
         raise InputError(f"width must be >= 1, got {width}")
     cols, wts = candidates["column"], candidates["strength"]
     peaks = np.asarray(corner_peaks, dtype=float)
+    if peaks.ndim != 1:
+        raise InputError(f"corner_peaks must be 1D, got shape {peaks.shape}")
     for what, values in (("candidate column", cols), ("corner peak", peaks)):
         bad = ~((values >= 0) & (values < width))
         if bad.any():

@@ -10,16 +10,25 @@ Corner-level scores work in pixel space with cyclic column distances, so
 every metric here is invariant under rotating both panoramas by the same
 number of columns. :func:`evaluate_pair` renders each layout's boundary
 curves once and shares them between the pixel, wireframe and plane scores.
+
+The wireframe chamfer needs no search tree. A wireframe is two curves with
+one point per integer column plus vertical runs of integer rows at corner
+columns, so a point's nearest run point is its row clipped to the run, and
+its nearest curve point lies in a window of columns no wider than the
+largest threshold, searched only for points farther than 1 pixel from the
+curves' two nearest columns and from every run. The distances are exact.
+Plane F computes the mask IoU of every pred/truth plane pair in one array
+operation before its greedy match.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from . import synth
 from .errors import InputError, MetricError
@@ -283,45 +292,109 @@ def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
 def corner_image_points(layout: VisibleLayout, grid: ImageGrid | None = None) -> np.ndarray:
     """(2N, 2) pixel positions of every corner's ceiling and floor junction."""
     grid = grid or layout.grid
-    pts = []
-    for c in layout.corners:
-        pts.append((c.column, lat_to_row(c.ceil_lat, grid)))
-        pts.append((c.column, lat_to_row(c.floor_lat, grid)))
-    return np.array(pts)
+    corners = layout.corners
+    cols = np.repeat(np.array([c.column for c in corners], dtype=float), 2)
+    lats = np.array([(c.ceil_lat, c.floor_lat) for c in corners], dtype=float).ravel()
+    return np.stack([cols, lat_to_row(lats, grid)], axis=1)
 
 
-def _wireframe_points(layout, bounds, grid: ImageGrid, include_verticals: bool) -> np.ndarray:
-    cols = np.arange(grid.width, dtype=float)
-    pts = [np.stack([cols, lat_to_row(y, grid)], axis=1) for y in bounds]
-    if include_verticals:
-        for c in layout.corners:
-            r1 = lat_to_row(c.ceil_lat, grid)
-            r2 = lat_to_row(c.floor_lat, grid)
-            rows = np.arange(np.ceil(r1), np.floor(r2) + 1.0)
-            pts.append(np.stack([np.full(len(rows), c.column), rows], axis=1))
-    return np.vstack(pts)
+def _wireframe(bounds, corner_pts, grid: ImageGrid):
+    """A wireframe as the chamfer search reads it: the rows of both boundary
+    curves at every integer column, shape (2, width), and the vertical runs of
+    integer rows between each corner's junctions, as (column, first row, last
+    row) arrays. ``corner_pts`` is :func:`corner_image_points`, or None for a
+    wireframe without verticals."""
+    rows = np.stack([lat_to_row(y, grid) for y in bounds])
+    if corner_pts is None:
+        return rows, (np.empty(0), np.empty(0), np.empty(0))
+    cols = corner_pts[0::2, 0]
+    first, last = np.ceil(corner_pts[0::2, 1]), np.floor(corner_pts[1::2, 1])
+    spans = first <= last
+    return rows, (cols[spans], first[spans], last[spans])
 
 
-def _nearest_distances(src: np.ndarray, target: np.ndarray, width: int, reach: float) -> np.ndarray:
-    """Distance from each src point to its nearest target point, columns cyclic;
-    ``inf`` where none is within ``reach`` pixels.
+def _wireframe_points(wire) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, rows) of every point of a wireframe: the ceiling curve, the
+    floor curve, then each run."""
+    rows, (cols, first, last) = wire
+    curve_cols = np.tile(np.arange(rows.shape[1], dtype=float), 2)
+    run_cols = np.repeat(cols, (last - first + 1).astype(np.intp))
+    runs = [np.arange(a, b + 1.0) for a, b in zip(first, last)]
+    return np.concatenate([curve_cols, run_cols]), np.concatenate([rows.ravel(), *runs])
 
-    Only target points within ``reach`` columns of the seam can be nearest
-    across it, so only those get a copy one width over. The query bound is
-    strict, hence ``nextafter``: a point exactly ``reach`` away still counts.
+
+def _seam_rows(rows, width: int, reach: float, pad: int) -> np.ndarray:
+    """Curve rows at columns ``-pad .. width + pad``, shape (2, columns): a
+    column beyond an edge holds the seam copy of column ``% width`` where the
+    copies hold that column (``c <= reach`` one width right, ``c >= width -
+    reach`` one width left), and ``inf`` rows elsewhere."""
+    tc = np.arange(-pad, width + pad + 1.0)
+    c = tc % width
+    shift = tc - c
+    held = (shift == 0) | (shift == width) & (c <= reach) | (shift == -width) & (c >= width - reach)
+    return np.where(held, rows[:, c.astype(np.intp)], np.inf)
+
+
+def _curve_sq_distances(frac, sv, idx, offsets, seam_rows) -> np.ndarray:
+    """Least squared distance from each source point to the curve points at
+    the given column offsets from its floor column. ``frac`` is the source
+    column minus its floor column, and ``idx`` (offsets, points) indexes the
+    offsets' columns in ``seam_rows``."""
+    du = frac - offsets[:, None]
+    dv_c, dv_f = sv - seam_rows[0][idx], sv - seam_rows[1][idx]
+    return (du * du + np.minimum(dv_c * dv_c, dv_f * dv_f)).min(axis=0)
+
+
+def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
+    """Distance from each source point (su, sv) to the nearest point of a
+    :func:`_wireframe`, columns cyclic; ``inf`` where none is within ``reach``.
+
+    Exact without a search tree, because the wireframe's points lie on a
+    grid: the nearest point of a run is the source row clipped to the run, and
+    curve points sit one per integer column. Runs are searched in full, curves
+    at the two nearest columns, and only points whose squared bound is still
+    above 1 search every column within ``reach``; any other column is at
+    least 1 away. The result equals bit for bit a nearest-neighbour query
+    over the points plus a copy one width over of each point within
+    ``reach`` columns of the seam: squared distances are ``du*du + dv*dv``
+    with the copies' columns ``c + width`` and ``c - width`` computed in
+    float, a point counts when its squared distance is below the square of
+    the next float above ``reach`` (one exactly ``reach`` away counts), and
+    one ``sqrt`` comes last.
     """
-    u = target[:, 0]
-    aug = np.vstack([target, target[u <= reach] + [width, 0], target[u >= width - reach] - [width, 0]])
-    return cKDTree(aug).query(src, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]
+    rows, (cols, first, last) = wire
+    dv = sv - np.clip(np.rint(sv), first[:, None], last[:, None])
+    dv2 = dv * dv
+    d2 = np.full(len(su), np.inf)
+    copies = ((0.0, slice(None)), (width, cols <= reach), (-width, cols >= width - reach))
+    for shift, held in copies:
+        du = su - (cols[held, None] + shift)
+        d2 = np.minimum(d2, (du * du + dv2[held]).min(axis=0, initial=np.inf))
+    # A curve point in integer column tc lies (su - base) - (tc - base) columns
+    # away, which rounds as su - tc does because su - base is exact.
+    pad = max(math.ceil(reach), 0)
+    seam_rows = _seam_rows(rows, width, reach, pad)
+    base = np.floor(su)
+    frac, base_idx = su - base, base.astype(np.intp) + pad
+    near = np.array([0, 1])
+    d2 = np.minimum(d2, _curve_sq_distances(frac, sv, base_idx + near[:, None], near, seam_rows))
+    far = np.flatnonzero(d2 > 1.0)
+    if far.size:
+        offsets = np.arange(-pad, pad + 2)
+        idx = base_idx[far] + offsets[:, None]
+        window = _curve_sq_distances(frac[far], sv[far], idx, offsets, seam_rows)
+        d2[far] = np.minimum(d2[far], window)
+    bound = np.nextafter(reach, np.inf)
+    return np.where(d2 < bound * bound, np.sqrt(d2), np.inf)
 
 
-def _wireframe_f(pred, gt, bounds_p, bounds_g, grid: ImageGrid, thresholds, include_verticals) -> float:
-    p = _wireframe_points(pred, bounds_p, grid, include_verticals)
-    g = _wireframe_points(gt, bounds_g, grid, include_verticals)
+def _wireframe_f(bounds_p, bounds_g, pts_p, pts_g, grid: ImageGrid, thresholds) -> float:
+    wire_p, wire_g = _wireframe(bounds_p, pts_p, grid), _wireframe(bounds_g, pts_g, grid)
     reach = max(thresholds)
-    d_p = _nearest_distances(p, g, grid.width, reach)
-    d_g = _nearest_distances(g, p, grid.width, reach)
-    return float(np.mean([_f1(float(np.mean(d_p <= t)), float(np.mean(d_g <= t))) for t in thresholds]))
+    d_p = _nearest_distances(*_wireframe_points(wire_p), wire_g, grid.width, reach)
+    d_g = _nearest_distances(*_wireframe_points(wire_g), wire_p, grid.width, reach)
+    scores = [_f1(float(np.mean(d_p <= t)), float(np.mean(d_g <= t))) for t in thresholds]
+    return float(np.mean(scores))
 
 
 def wireframe_f(
@@ -334,11 +407,16 @@ def wireframe_f(
     """Boundary-curve chamfer F-score averaged over the pixel thresholds.
 
     The wireframe is both boundary curves plus (by default) the vertical
-    junction segment at every corner column.
+    junction segment at every corner column. Thresholds must be finite.
     """
+    if not np.all(np.isfinite(thresholds)):
+        raise InputError(f"wireframe thresholds must be finite, got {thresholds}")
     grid = grid or pred_layout.grid
     bounds = (_boundaries_of(pred_layout, grid), _boundaries_of(gt_layout, grid))
-    return _wireframe_f(pred_layout, gt_layout, *bounds, grid, thresholds, include_verticals)
+    pts = (None, None)
+    if include_verticals:
+        pts = (corner_image_points(pred_layout, grid), corner_image_points(gt_layout, grid))
+    return _wireframe_f(*bounds, *pts, grid, thresholds)
 
 
 def _cyclic_col_range(c0: float, c1: float, width: int) -> np.ndarray:
@@ -350,46 +428,49 @@ def _cyclic_col_range(c0: float, c1: float, width: int) -> np.ndarray:
 
 
 def _planes(layout: VisibleLayout, bounds, grid: ImageGrid):
-    """Each plane as (label, top_row[w], bottom_row[w]); empty columns 0-height."""
-    w = grid.width
+    """Each plane's label, and its top and bottom rows at every column as two
+    (planes, width) arrays: the ceiling, the floor, then one wall per wall
+    edge, 0-height outside its columns."""
     rows_c, rows_f = (lat_to_row(y, grid) for y in bounds)
-    planes = [("ceiling", np.full(w, -0.5), rows_c), ("floor", rows_f, np.full(w, grid.height - 0.5))]
-    corners = layout.corners
-    for i, j in layout.wall_edges():
-        top = np.full(w, 0.0)
-        bot = np.full(w, 0.0)
-        cols = _cyclic_col_range(corners[i].column, corners[j].column, w)
-        top[cols] = rows_c[cols]
-        bot[cols] = rows_f[cols]
-        planes.append(("wall", top, bot))
-    return planes
+    corners, edges = layout.corners, layout.wall_edges()
+    labels = np.array(["ceiling", "floor"] + ["wall"] * len(edges))
+    top = np.zeros((len(labels), grid.width))
+    bot = np.zeros((len(labels), grid.width))
+    top[0], bot[0] = -0.5, rows_c
+    top[1], bot[1] = rows_f, grid.height - 0.5
+    for k, (i, j) in enumerate(edges, start=2):
+        cols = _cyclic_col_range(corners[i].column, corners[j].column, grid.width)
+        top[k, cols] = rows_c[cols]
+        bot[k, cols] = rows_f[cols]
+    return labels, top, bot
 
 
-def _interval_iou(a, b) -> float:
-    _, ta, ba = a
-    _, tb, bb = b
-    inter = np.clip(np.minimum(ba, bb) - np.maximum(ta, tb), 0.0, None).sum()
-    area_a = np.clip(ba - ta, 0.0, None).sum()
-    area_b = np.clip(bb - tb, 0.0, None).sum()
-    union = area_a + area_b - inter
-    return float(inter / union) if union > 0 else 0.0
+def _plane_ious(planes_p, planes_g) -> np.ndarray:
+    """Mask IoU of every pred plane with every truth plane, from the column
+    intervals of :func:`_planes`; ``-inf`` where the labels differ."""
+    (labels_p, top_p, bot_p), (labels_g, top_g, bot_g) = planes_p, planes_g
+    overlap = np.minimum(bot_p[:, None], bot_g[None]) - np.maximum(top_p[:, None], top_g[None])
+    inter = np.clip(overlap, 0.0, None).sum(axis=2)
+    area_p = np.clip(bot_p - top_p, 0.0, None).sum(axis=1)
+    area_g = np.clip(bot_g - top_g, 0.0, None).sum(axis=1)
+    union = area_p[:, None] + area_g[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ious = np.where(union > 0, inter / union, 0.0)
+    return np.where(labels_p[:, None] == labels_g[None, :], ious, -np.inf)
 
 
 def _plane_f(pred, gt, bounds_p, bounds_g, grid: ImageGrid, iou_threshold: float) -> float:
-    pred_planes = _planes(pred, bounds_p, grid)
-    gt_planes = _planes(gt, bounds_g, grid)
-    ious = [
-        (_interval_iou(p, g), i, j)
-        for i, p in enumerate(pred_planes)
-        for j, g in enumerate(gt_planes)
-        if p[0] == g[0]
-    ]
+    ious = _plane_ious(_planes(pred, bounds_p, grid), _planes(gt, bounds_g, grid))
+    # greedy one-to-one by descending IoU, ties in (pred, truth) order
     used_p, used_g = set(), set()
-    for iou, i, j in sorted(ious, key=lambda c: -c[0]):
-        if iou > iou_threshold and i not in used_p and j not in used_g:
+    for k in np.argsort(-ious, axis=None, kind="stable"):
+        i, j = divmod(int(k), ious.shape[1])
+        if not ious[i, j] > iou_threshold:
+            break
+        if i not in used_p and j not in used_g:
             used_p.add(i)
             used_g.add(j)
-    return _f_score(len(used_p), len(pred_planes), len(gt_planes))
+    return _f_score(len(used_p), *ious.shape)
 
 
 def plane_f(
@@ -448,6 +529,6 @@ def evaluate_pair(
         corner_error=corner_error(p_pts, g_pts, grid),
         pixel_error=_column_pixel_error(bounds_p, bounds_g, grid),
         junction_f=junction_f(p_pts, g_pts, grid),
-        wireframe_f=_wireframe_f(pred, gt, bounds_p, bounds_g, grid, THRESHOLDS, True),
+        wireframe_f=_wireframe_f(bounds_p, bounds_g, p_pts, g_pts, grid, THRESHOLDS),
         plane_f=_plane_f(pred, gt, bounds_p, bounds_g, grid, 0.5),
     )

@@ -110,15 +110,19 @@ def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np
     return np.where(ok, s, np.inf)
 
 
-def raycast(room: SyntheticRoom, lons) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest wall distance and edge index for each longitude."""
+def _raycast(origin: np.ndarray, polygon: np.ndarray, lons) -> tuple[np.ndarray, np.ndarray]:
     lons = np.atleast_1d(np.asarray(lons, dtype=float))
     dirs = np.stack([np.cos(lons), np.sin(lons)], axis=1)
-    s = _hit_params(room.camera_position, dirs, room.floor_polygon)
+    s = _hit_params(origin, dirs, polygon)
     dist = s.min(axis=0)
     if not np.all(np.isfinite(dist)):
         raise GeometryError("a ray escaped the polygon; camera outside or degenerate")
     return dist, s.argmin(axis=0)
+
+
+def raycast(room: SyntheticRoom, lons) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest wall distance and edge index for each longitude."""
+    return _raycast(room.camera_position, room.floor_polygon, lons)
 
 
 @dataclass(frozen=True)
@@ -253,20 +257,19 @@ def layout_boundaries(layout: VisibleLayout, grid: ImageGrid | None = None):
     """Per-column (y_c, y_f) implied by a visible layout's floor polygon.
 
     Re-renders the layout from its own camera, so occlusion edges (collinear
-    with rays) never register as walls.
+    with rays) never register as walls. The polygon is ray-cast as it is:
+    ``VisibleLayout.__post_init__`` checked that it is simple, and its corners
+    are in longitude order, so it winds once around the camera unless a gap
+    between corners reaches half a turn; then a ray escapes and this raises
+    ``GeometryError``. A room height not above the camera is an ``InputError``.
     """
     grid = grid or layout.grid
-    room = SyntheticRoom(
-        layout.floor_points(),
-        layout.room_height,
-        np.zeros(2),
-        layout.camera.camera_height,
-    )
+    h = layout.camera.camera_height
+    if not h < layout.room_height:
+        raise InputError(f"need camera_height < room_height, got {h}, {layout.room_height}")
     lons = col_to_lon(np.arange(grid.width), grid)
-    dist, _ = raycast(room, lons)
-    y_c = np.arctan2(layout.room_height - layout.camera.camera_height, dist)
-    y_f = -np.arctan2(layout.camera.camera_height, dist)
-    return y_c, y_f
+    dist, _ = _raycast(np.zeros(2), layout.floor_points(), lons)
+    return np.arctan2(layout.room_height - h, dist), -np.arctan2(h, dist)
 
 
 def perturb_signal(signal, noise_sigma: float, seed: int = 0):

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from panolayout import FIXTURE_FAMILIES
-from panolayout.panorama import cyclic_column_distance
+from panolayout.panorama import cyclic_column_distance, lat_to_row
 from panolayout.synth import make_fixture, render_signal
 
 CORPUS_SEEDS = 20
@@ -102,3 +105,35 @@ def scalar_snap():
     """The scalar snap-and-dedupe reference,
     ``scalar_snap(confirmed, corner_peaks, width, radius)``."""
     return scalar_snap_and_dedupe
+
+
+def tree_wireframe_points(layout, bounds, grid, include_verticals=True):
+    """(N, 2) wireframe points: both boundary curves at every integer column,
+    then each corner's vertical run of integer rows."""
+    cols = np.arange(grid.width, dtype=float)
+    pts = [np.stack([cols, lat_to_row(y, grid)], axis=1) for y in bounds]
+    if include_verticals:
+        for c in layout.corners:
+            r1 = lat_to_row(c.ceil_lat, grid)
+            r2 = lat_to_row(c.floor_lat, grid)
+            rows = np.arange(np.ceil(r1), np.floor(r2) + 1.0)
+            pts.append(np.stack([np.full(len(rows), c.column), rows], axis=1))
+    return np.vstack(pts)
+
+
+def tree_nearest_distances(src, target, width, reach):
+    """Reference chamfer: a KD-tree over the target points plus a copy one
+    width over of each point within ``reach`` columns of the seam, queried
+    with the bound just above ``reach`` so a point exactly ``reach`` away
+    still counts; ``inf`` where no point is that close."""
+    u = target[:, 0]
+    right, left = target[u <= reach] + [width, 0], target[u >= width - reach] - [width, 0]
+    aug = np.vstack([target, right, left])
+    return cKDTree(aug).query(src, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]
+
+
+@pytest.fixture(scope="session")
+def tree_chamfer():
+    """The KD-tree chamfer oracle: ``.points(layout, bounds, grid,
+    include_verticals)`` and ``.nearest(src, target, width, reach)``."""
+    return SimpleNamespace(points=tree_wireframe_points, nearest=tree_nearest_distances)

@@ -224,6 +224,11 @@ class TestDetect2d:
         y = -0.9 + 0.0005 * np.minimum(i, W - i)
         assert len(slope_candidates(detect_2d(y))) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite boundary value at column 1"):
+            detect_2d([-0.5, bad, -0.5, -0.4])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(-1.5, -0.01), min_size=3, max_size=96),
@@ -414,6 +419,11 @@ class TestEnsemble:
     def test_rejects_peak_outside_width(self, peak):
         with pytest.raises(InputError, match=f"corner peak {peak}.0 outside"):
             ensemble(_cands([5]), 64, corner_peaks=(peak,))
+
+    @pytest.mark.parametrize("peaks", [5, [[5, 9]]])
+    def test_rejects_corner_peaks_not_1d(self, peaks):
+        with pytest.raises(InputError, match="corner_peaks must be 1D"):
+            ensemble(_cands([5]), 64, corner_peaks=peaks)
 
 
 class TestExtractOcclusionPair:

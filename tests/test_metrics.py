@@ -1,10 +1,11 @@
 """Evaluation metrics against hand geometry and brute-force matching oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -14,7 +15,10 @@ from panolayout import (
     InputError,
     MetricError,
     MetricReport,
+    AssemblyError,
+    FIXTURE_FAMILIES,
     SyntheticRoom,
+    VisibleLayout,
     clip_to_visible,
     corner_error,
     corner_image_points,
@@ -34,7 +38,15 @@ from panolayout import (
     truth_layout,
     wireframe_f,
 )
-from panolayout.metrics import _column_pixel_error
+from panolayout.metrics import (
+    _column_pixel_error,
+    _nearest_distances,
+    _plane_ious,
+    _planes,
+    _wireframe,
+    _wireframe_points,
+)
+from panolayout.panorama import wrap_col
 from panolayout.synth import make_fixture
 
 GRID = ImageGrid()
@@ -405,6 +417,16 @@ class TestJunctionF:
             assert junction_f(p2, q2, GRID) == pytest.approx(base, abs=1e-9)
 
 
+def rotated(layout, shift):
+    """The same layout seen with the panorama turned by ``shift`` columns."""
+    w = layout.grid.width
+    corners = [
+        dataclasses.replace(c, column=float(wrap_col(c.column + shift, w))) for c in layout.corners
+    ]
+    corners.sort(key=lambda c: c.column)  # stable: a pair keeps its order
+    return VisibleLayout(corners, layout.camera, layout.room_height, layout.grid)
+
+
 def constant_signal(y_c, y_f, w=1024):
     return BoundarySignal(np.zeros(w), np.full(w, y_c), np.full(w, y_f))
 
@@ -500,6 +522,62 @@ class TestWireframeF:
         assert wireframe_f(pred, gt) == want
         assert want < 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(FIXTURE_FAMILIES),
+        st.integers(0, 19),
+        st.sampled_from([0.0, 0.002, 0.005, 0.01]),
+        st.sampled_from([20.0, 7.5]),
+        st.integers(0, 15),
+        st.floats(-1.0, 1.0),
+        st.booleans(),
+    )
+    def test_distances_match_tree_oracle(
+        self, corpus, tree_chamfer, family, seed, sigma, reach, corner, offset, verticals
+    ):
+        # turn both layouts so that one truth corner lies within reach of the seam
+        _, signal, truth = corpus[(family, seed)]
+        pred = postprocess(perturb_signal(signal, sigma, seed=seed) if sigma else signal)
+        shift = offset * reach - truth.corners[corner % len(truth.corners)].column
+        try:
+            pred, truth = rotated(pred, shift), rotated(truth, shift)
+        except AssemblyError:
+            assume(False)
+        wires = []
+        for layout in (pred, truth):
+            bounds = layout_boundaries(layout, GRID)
+            pts = corner_image_points(layout, GRID) if verticals else None
+            wire = _wireframe(bounds, pts, GRID)
+            want = tree_chamfer.points(layout, bounds, GRID, verticals)
+            assert np.array_equal(np.stack(_wireframe_points(wire), axis=1), want)
+            wires.append((wire, want))
+        for (src_wire, src), (target_wire, target) in (wires, wires[::-1]):
+            got = _nearest_distances(*_wireframe_points(src_wire), target_wire, GRID.width, reach)
+            want = tree_chamfer.nearest(src, target, GRID.width, reach)
+            assert np.array_equal(got, want)
+
+    def test_distances_at_the_edge_of_reach_match_tree_oracle(self, tree_chamfer):
+        # (1 - 2**-53, 300) is 20 - 2**-53 columns from (21, 300), which rounds
+        # to 20.0, one column past the search window of a point below 1 less
+        # one offset; (20, 200 + 2**-22) is sqrt(400 + 2**-44) from (0, 200),
+        # which counts under the bound just above 20 and rounds to 20.0
+        rows = np.array([np.full(GRID.width, 100.0), np.full(GRID.width, 400.0)])
+        rows[0, 0], rows[1, 21] = 200.0, 300.0
+        wire = rows, (np.empty(0), np.empty(0), np.empty(0))
+        su = np.array([np.nextafter(1.0, 0.0), 20.0])
+        sv = np.array([300.0, 200.0 + 2.0**-22])
+        got = _nearest_distances(su, sv, wire, GRID.width, 20.0)
+        cols = np.arange(GRID.width, dtype=float)
+        target = np.vstack([np.stack([cols, r], axis=1) for r in rows])
+        want = tree_chamfer.nearest(np.stack([su, sv], axis=1), target, GRID.width, 20.0)
+        assert np.array_equal(got, want)
+        assert got.tolist() == [20.0, 20.0]
+
+    def test_non_finite_threshold_rejected(self):
+        _, truth = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="finite"):
+            wireframe_f(truth, truth, thresholds=(5.0, math.inf))
+
     def test_matches_brute_force_chamfer(self):
         pred, truth = l_room_round_trip(seed=1)
         got = wireframe_f(pred, truth)
@@ -507,6 +585,35 @@ class TestWireframeF:
             wire_points(pred, GRID), wire_points(truth, GRID), GRID.width
         )
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def per_pair_plane_f(planes_p, planes_g, iou_threshold=0.5):
+    """Reference plane matching, one pair of planes at a time: the IoU matrix
+    (-inf across labels) and the F-score of the greedy one-to-one match taken
+    in descending IoU order, ties in (pred, truth) order."""
+
+    def interval_iou(ta, ba, tb, bb):
+        inter = np.clip(np.minimum(ba, bb) - np.maximum(ta, tb), 0.0, None).sum()
+        area_a = np.clip(ba - ta, 0.0, None).sum()
+        area_b = np.clip(bb - tb, 0.0, None).sum()
+        union = area_a + area_b - inter
+        return float(inter / union) if union > 0 else 0.0
+
+    (labels_p, top_p, bot_p), (labels_g, top_g, bot_g) = planes_p, planes_g
+    ious = np.full((len(labels_p), len(labels_g)), -np.inf)
+    for i in range(len(labels_p)):
+        for j in range(len(labels_g)):
+            if labels_p[i] == labels_g[j]:
+                ious[i, j] = interval_iou(top_p[i], bot_p[i], top_g[j], bot_g[j])
+    candidates = [(ious[i, j], i, j) for i, j in zip(*np.nonzero(ious > -np.inf))]
+    used_p, used_g = set(), set()
+    for iou, i, j in sorted(candidates, key=lambda c: -c[0]):
+        if iou > iou_threshold and i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+    precision, recall = len(used_p) / len(labels_p), len(used_p) / len(labels_g)
+    f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return ious, f
 
 
 class TestPlaneF:
@@ -542,6 +649,20 @@ class TestPlaneF:
     def test_round_trip(self):
         pred, truth = l_room_round_trip(seed=2)
         assert plane_f(pred, truth) == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(FIXTURE_FAMILIES),
+        st.integers(0, 19),
+        st.sampled_from([0.0, 0.002, 0.005, 0.01]),
+    )
+    def test_matches_per_pair_loop(self, corpus, family, seed, sigma):
+        _, signal, truth = corpus[(family, seed)]
+        pred = postprocess(perturb_signal(signal, sigma, seed=seed) if sigma else signal)
+        planes = [_planes(x, layout_boundaries(x, GRID), GRID) for x in (pred, truth)]
+        ious, f = per_pair_plane_f(*planes)
+        assert np.array_equal(_plane_ious(*planes), ious)
+        assert plane_f(pred, truth, GRID) == f
 
 
 class TestEvaluatePair:

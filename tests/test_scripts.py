@@ -40,6 +40,18 @@ def test_layout_digest_repeats():
     assert sum(outcomes.values()) == 2 * 2 * 4 * 3
 
 
+# Output drift on the small corpus fails here without the full 2880-run
+# digest; a change that moves any output on purpose updates this value and
+# says so in CHANGES.md.
+SMALL_CORPUS_DIGEST = "3cd68ae37089904a481f0c4c587b7a51d577b4d21b121bedc18a975ae66abc92"
+
+
+def test_layout_digest_pinned_on_small_corpus():
+    hexdigest, outcomes = _load("layout_digest").digest(["square", "l_room"], [0, 1])
+    assert outcomes == {"ok": 48}
+    assert hexdigest == SMALL_CORPUS_DIGEST
+
+
 def test_layout_digest_expect_sets_exit_status(capsys):
     script = _load("layout_digest")
     corpus = ["--families", "square", "l_room", "--seeds", "0", "1"]

@@ -11,11 +11,14 @@ from panolayout import (
     GeometryError,
     ImageGrid,
     InputError,
+    LayoutCorner,
     SyntheticRoom,
+    VisibleLayout,
     col_to_lon,
     corner_bumps,
     extract_corner_peaks,
     iou_2d,
+    layout_boundaries,
     lon_to_col,
     perturb_signal,
     postprocess,
@@ -97,6 +100,36 @@ class TestRaycast:
         object.__setattr__(bad, "camera_height", 1.6)
         with pytest.raises(GeometryError):
             raycast(bad, [math.pi / 2])
+
+
+class TestLayoutBoundaries:
+    @pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.005])
+    def test_equals_synthetic_room_raycast(self, corpus, family, sigma):
+        # the layout's polygon ray-cast directly, against the validated room
+        for seed in range(3):
+            _, signal, truth = corpus[(family, seed)]
+            pred = postprocess(perturb_signal(signal, sigma, seed=seed) if sigma else signal)
+            for layout in (truth, pred):
+                h = layout.camera.camera_height
+                room = SyntheticRoom(layout.floor_points(), layout.room_height, np.zeros(2), h)
+                dist, _ = raycast(room, col_to_lon(np.arange(GRID.width), GRID))
+                y_c, y_f = layout_boundaries(layout, GRID)
+                assert np.array_equal(y_c, np.arctan2(layout.room_height - h, dist))
+                assert np.array_equal(y_f, -np.arctan2(h, dist))
+
+    def test_room_height_not_above_camera_rejected(self, square_case):
+        _, _, truth = square_case
+        low = VisibleLayout(truth.corners, truth.camera, 1.6, truth.grid)
+        with pytest.raises(InputError, match="camera_height < room_height"):
+            layout_boundaries(low)
+
+    def test_corners_within_half_a_turn_raise_geometry_error(self):
+        # a simple triangle that does not surround the camera: rays escape
+        corners = [LayoutCorner(col, 0.5, -0.5) for col in (100.0, 200.0, 300.0)]
+        layout = VisibleLayout(corners, room_height=3.2)
+        with pytest.raises(GeometryError, match="escaped"):
+            layout_boundaries(layout)
 
 
 class TestRenderSignal:
