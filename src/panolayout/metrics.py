@@ -17,8 +17,8 @@ columns, so a point's nearest run point is its row clipped to the run, and
 its nearest curve point lies in a window of columns no wider than the
 largest threshold, searched only for points farther than 1 pixel from the
 curves' two nearest columns and from every run. The distances are exact.
-Plane F computes the mask IoU of every pred/truth plane pair in one array
-operation before its greedy match.
+Plane F computes the mask IoUs of each pred plane with every truth plane in
+one array operation before its greedy match.
 """
 
 from __future__ import annotations
@@ -340,9 +340,13 @@ def _curve_sq_distances(frac, sv, idx, offsets, seam_rows) -> np.ndarray:
     the given column offsets from its floor column. ``frac`` is the source
     column minus its floor column, and ``idx`` (offsets, points) indexes the
     offsets' columns in ``seam_rows``."""
-    du = frac - offsets[:, None]
-    dv_c, dv_f = sv - seam_rows[0][idx], sv - seam_rows[1][idx]
-    return (du * du + np.minimum(dv_c * dv_c, dv_f * dv_f)).min(axis=0)
+    sq = (frac - offsets[:, None]) ** 2
+    dv_c, dv_f = seam_rows[0][idx], seam_rows[1][idx]
+    for dv in (dv_c, dv_f):  # in place: these are the largest arrays of a score
+        np.subtract(sv, dv, out=dv)
+        dv *= dv
+    sq += np.minimum(dv_c, dv_f, out=dv_c)
+    return sq.min(axis=0)
 
 
 def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
@@ -363,13 +367,15 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
     one ``sqrt`` comes last.
     """
     rows, (cols, first, last) = wire
-    dv = sv - np.clip(np.rint(sv), first[:, None], last[:, None])
-    dv2 = dv * dv
+    dv2 = np.clip(np.rint(sv), first[:, None], last[:, None])
+    np.subtract(sv, dv2, out=dv2)
+    dv2 *= dv2
     d2 = np.full(len(su), np.inf)
     copies = ((0.0, slice(None)), (width, cols <= reach), (-width, cols >= width - reach))
     for shift, held in copies:
-        du = su - (cols[held, None] + shift)
-        d2 = np.minimum(d2, (du * du + dv2[held]).min(axis=0, initial=np.inf))
+        sq = (su - (cols[held, None] + shift)) ** 2
+        sq += dv2[held]
+        np.minimum(d2, sq.min(axis=0, initial=np.inf), out=d2)
     # A curve point in integer column tc lies (su - base) - (tc - base) columns
     # away, which rounds as su - tc does because su - base is exact.
     pad = max(math.ceil(reach), 0)
@@ -449,8 +455,11 @@ def _plane_ious(planes_p, planes_g) -> np.ndarray:
     """Mask IoU of every pred plane with every truth plane, from the column
     intervals of :func:`_planes`; ``-inf`` where the labels differ."""
     (labels_p, top_p, bot_p), (labels_g, top_g, bot_g) = planes_p, planes_g
-    overlap = np.minimum(bot_p[:, None], bot_g[None]) - np.maximum(top_p[:, None], top_g[None])
-    inter = np.clip(overlap, 0.0, None).sum(axis=2)
+    inter = np.empty((len(labels_p), len(labels_g)))
+    for i in range(len(labels_p)):  # a row at a time: temporaries stay (truth planes, width)
+        overlap = np.minimum(bot_p[i], bot_g)
+        overlap -= np.maximum(top_p[i], top_g)
+        inter[i] = np.clip(overlap, 0.0, None, out=overlap).sum(axis=1)
     area_p = np.clip(bot_p - top_p, 0.0, None).sum(axis=1)
     area_g = np.clip(bot_g - top_g, 0.0, None).sum(axis=1)
     union = area_p[:, None] + area_g[None, :] - inter
