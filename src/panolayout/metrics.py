@@ -41,6 +41,8 @@ REGIMES = ("non_visible", "visible")
 
 CEILING, WALL, FLOOR = 0, 1, 2
 
+_WINDOW_BLOCK = 256  # source points per block of the chamfer's column-window search
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -385,11 +387,12 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
     near = np.array([0, 1])
     d2 = np.minimum(d2, _curve_sq_distances(frac, sv, base_idx + near[:, None], near, seam_rows))
     far = np.flatnonzero(d2 > 1.0)
-    if far.size:
-        offsets = np.arange(-pad, pad + 2)
-        idx = base_idx[far] + offsets[:, None]
-        window = _curve_sq_distances(frac[far], sv[far], idx, offsets, seam_rows)
-        d2[far] = np.minimum(d2[far], window)
+    offsets = np.arange(-pad, pad + 2)
+    # blocks of points keep the window's (offsets, points) arrays small
+    for block in np.split(far, np.arange(_WINDOW_BLOCK, far.size, _WINDOW_BLOCK)):
+        idx = base_idx[block] + offsets[:, None]
+        window = _curve_sq_distances(frac[block], sv[block], idx, offsets, seam_rows)
+        d2[block] = np.minimum(d2[block], window)
     bound = np.nextafter(reach, np.inf)
     return np.where(d2 < bound * bound, np.sqrt(d2), np.inf)
 
