@@ -11,14 +11,11 @@ every metric here is invariant under rotating both panoramas by the same
 number of columns. :func:`evaluate_pair` renders each layout's boundary
 curves once and shares them between the pixel, wireframe and plane scores.
 
-The wireframe chamfer needs no search tree. A wireframe is two curves with
-one point per integer column plus vertical runs of integer rows at corner
-columns, so a point's nearest run point is its row clipped to the run, and
-its nearest curve point lies in a window of columns no wider than the
-largest threshold, searched only for points farther than 1 pixel from the
-curves' two nearest columns and from every run. The distances are exact.
-Plane F computes the mask IoUs of each pred plane with every truth plane in
-one array operation before its greedy match.
+The wireframe chamfer is exact and needs no search tree: a wireframe is two
+curves with one point per integer column plus vertical runs of integer rows
+at corner columns, so nearest points are found by clipping rows to runs and
+by a window of columns no wider than the largest threshold. Plane F takes
+the IoUs of each pred plane with every truth plane in one array operation.
 """
 
 from __future__ import annotations
