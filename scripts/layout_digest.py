@@ -1,4 +1,4 @@
-"""One digest of everything the pipeline outputs on a fixed corpus.
+"""One pass over a fixed corpus: a digest of every pipeline output and a quality table.
 
 For each fixture room, noise level and post-processing mode, records the
 layout's corners, room height and occlusion pairs and its evaluate_pair rows
@@ -9,16 +9,29 @@ print the same digest before and after. The default corpus is 240 rooms
 modes: 2880 runs. Noise seeds are the fixture seeds. With --expect, a digest
 other than the given one is reported with both digests and exit status 1.
 
+From the same runs it prints one row per (noise level, mode): ok runs and
+failures by error class; mean and worst 2D IoU, mean corner error and mean
+junction F of the ok runs (non-visible regime); and the shares of runs whose
+corner count (exact_n) and occlusion pair count (pair_acc) equal the
+truth's, where a failed run counts as a miss. Under each noise level, one
+line gives the ensemble's junction F minus the best single source's.
+
 Usage:
     python3 scripts/layout_digest.py
-    python3 scripts/layout_digest.py --families square l_room --seeds 0 1
     python3 scripts/layout_digest.py --expect <hex digest of the parent commit>
+    # noise sweep: the ensemble rows are the README table
+    python3 scripts/layout_digest.py --seeds 0 1 2 3 4 5 6 7 8 9 --sigmas 0 0.001 0.002 0.005 0.01
+    # candidate-source ablation
+    python3 scripts/layout_digest.py --seeds 0 1 2 3 4 5 6 7 8 9 --sigmas 0.002
 """
 
 import argparse
 import hashlib
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from panolayout import (
     FIXTURE_FAMILIES,
@@ -30,10 +43,20 @@ from panolayout import (
     postprocess,
     render_signal,
 )
-from panolayout.metrics import REGIMES
+from panolayout.metrics import REGIMES, MetricReport
 
 SEEDS = [*range(20), *range(1000, 1020)]
 SIGMAS = [0.0, 0.002, 0.005, 0.01]
+
+
+@dataclass
+class Cell:
+    """The runs of one (noise level, mode): outcomes ("ok" or error class)
+    and, per ok run, (2D IoU, corner error, junction F, corner count exact,
+    pair count exact), the metrics from the non-visible row."""
+
+    outcomes: Counter = field(default_factory=Counter)
+    runs: list = field(default_factory=list)
 
 
 def _record(signal, truth, mode):
@@ -48,19 +71,57 @@ def _record(signal, truth, mode):
 
 
 def digest(families=FIXTURE_FAMILIES, seeds=SEEDS, sigmas=SIGMAS, modes=MODES):
-    """(sha256 hex digest of all runs, Counter of outcomes: "ok" or error class)."""
+    """(sha256 hex digest of all runs, {(sigma, mode): Cell} in run order)."""
     h = hashlib.sha256()
-    outcomes = Counter()
+    table = defaultdict(Cell)
     for family in families:
         for seed in seeds:
             signal, truth = render_signal(make_fixture(family, seed))
+            n_corners, n_pairs = len(truth.corners), len(truth.occlusion_pairs())
             for sigma in sigmas:
                 noisy = perturb_signal(signal, sigma, seed=seed) if sigma > 0 else signal
                 for mode in modes:
                     outcome, result = _record(noisy, truth, mode)
-                    outcomes[outcome] += 1
                     h.update(repr((family, seed, sigma, mode, outcome, result)).encode())
-    return h.hexdigest(), outcomes
+                    cell = table[sigma, mode]
+                    cell.outcomes[outcome] += 1
+                    if result is not None:
+                        corners, _, pairs, rows = result
+                        m = MetricReport(*rows[REGIMES.index("non_visible")])
+                        cell.runs.append((m.iou2d, m.corner_error, m.junction_f,
+                                          len(corners) == n_corners, len(pairs) == n_pairs))
+    return h.hexdigest(), dict(table)
+
+
+def summary(cell):
+    """(iou_mean, iou_min, corner_err, junction_f, exact_n, pair_acc) of a Cell."""
+    n = sum(cell.outcomes.values())
+    if not cell.runs:
+        return (float("nan"),) * 4 + (0.0, 0.0)
+    iou, err, jf, exact, pairs = zip(*cell.runs)
+    return (float(np.mean(iou)), float(np.min(iou)), float(np.mean(err)), float(np.mean(jf)),
+            sum(exact) / n, sum(pairs) / n)
+
+
+def print_table(table):
+    header = (f"{'sigma':>8} {'mode':<9} {'ok':>5} {'iou_mean':>9} {'iou_min':>9} "
+              f"{'corner_err':>11} {'exact_n':>8} {'junction_f':>10} {'pair_acc':>9}  failures")
+    print(header)
+    print("-" * len(header))
+    for sigma in dict.fromkeys(s for s, _ in table):
+        jf = {}
+        for (s, mode), cell in table.items():
+            if s != sigma:
+                continue
+            iou_mean, iou_min, err, jf[mode], exact, pacc = summary(cell)
+            failures = ", ".join(f"{name} {k}" for name, k in sorted(cell.outcomes.items())
+                                 if name != "ok") or "-"
+            print(f"{sigma:>8.4f} {mode:<9} {cell.outcomes['ok']:>5} {iou_mean:>9.4f} "
+                  f"{iou_min:>9.4f} {err:>11.5f} {exact:>8.3f} {jf[mode]:>10.4f} {pacc:>9.3f}"
+                  f"  {failures}")
+        best_single = max(v for mode, v in jf.items() if mode != "ensemble")
+        print(f"# sigma {sigma:.4f}: ensemble minus best single source: "
+              f"{jf['ensemble'] - best_single:+.4f} junction F")
 
 
 def main(argv=None):
@@ -71,7 +132,9 @@ def main(argv=None):
     ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is this one")
     args = ap.parse_args(argv)
 
-    hexdigest, outcomes = digest(args.families, args.seeds, args.sigmas)
+    hexdigest, table = digest(args.families, args.seeds, args.sigmas)
+    print_table(table)
+    outcomes = sum((cell.outcomes for cell in table.values()), Counter())
     print(f"runs {sum(outcomes.values())}: " + ", ".join(
         f"{name} {n}" for name, n in sorted(outcomes.items())))
     print(hexdigest)

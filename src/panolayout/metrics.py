@@ -34,6 +34,8 @@ from .panorama import ImageGrid, lat_to_row, row_to_lat
 
 THRESHOLDS = (5.0, 10.0, 20.0)
 
+PLANE_IOU_THRESHOLD = 0.5  # a plane pair matches at mask IoU strictly above this
+
 REGIMES = ("non_visible", "visible")
 
 CEILING, WALL, FLOOR = 0, 1, 2
@@ -157,15 +159,14 @@ def corner_error(
     pred_corners,
     gt_corners,
     grid: ImageGrid | None = None,
-    method: str = "hungarian",
     unmatched_penalty: float = 0.1,
 ) -> float:
     """Mean matched corner distance as a fraction of the image diagonal.
 
-    Accepts layouts or (N, 2) pixel point arrays. One-to-one matching
-    (Hungarian by default, greedy selectable); every unmatched corner on
-    either side is charged ``unmatched_penalty`` of the diagonal, keeping the
-    score defined and monotone under spurious corners.
+    Accepts layouts or (N, 2) pixel point arrays. One-to-one Hungarian
+    matching; every unmatched corner on either side is charged
+    ``unmatched_penalty`` of the diagonal, keeping the score defined and
+    monotone under spurious corners.
     """
     grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
     p = _as_corner_points(pred_corners, grid)
@@ -173,13 +174,7 @@ def corner_error(
     if len(p) == 0 or len(q) == 0:
         raise MetricError("corner sets must be non-empty")
     dist = _pixel_distances(p, q, grid.width)
-    if method == "hungarian":
-        rows, cols = linear_sum_assignment(dist)
-        matched = dist[rows, cols]
-    elif method == "greedy":
-        matched = np.array(_greedy_match(dist, np.inf))
-    else:
-        raise InputError(f"unknown matching method {method!r}")
+    matched = dist[linear_sum_assignment(dist)]
     n_unmatched = (len(p) - len(matched)) + (len(q) - len(matched))
     diag = grid.diagonal
     total = float(matched.sum()) + n_unmatched * unmatched_penalty * diag
@@ -414,9 +409,15 @@ def wireframe_f(
 
     The wireframe is both boundary curves plus (by default) the vertical
     junction segment at every corner column. Thresholds must be finite.
+    Boundary signals are accepted without verticals only, since verticals
+    are drawn at a layout's corners.
     """
     if not np.all(np.isfinite(thresholds)):
         raise InputError(f"wireframe thresholds must be finite, got {thresholds}")
+    if include_verticals and not (
+        isinstance(pred_layout, VisibleLayout) and isinstance(gt_layout, VisibleLayout)
+    ):
+        raise InputError("wireframe verticals need two layouts; pass include_verticals=False")
     grid = grid or pred_layout.grid
     bounds = (_boundaries_of(pred_layout, grid), _boundaries_of(gt_layout, grid))
     pts = (None, None)
@@ -470,23 +471,17 @@ def _plane_ious(planes_p, planes_g) -> np.ndarray:
 
 def _plane_f(pred, gt, bounds_p, bounds_g, grid: ImageGrid, iou_threshold: float) -> float:
     ious = _plane_ious(_planes(pred, bounds_p, grid), _planes(gt, bounds_g, grid))
-    # greedy one-to-one by descending IoU, ties in (pred, truth) order
-    used_p, used_g = set(), set()
-    for k in np.argsort(-ious, axis=None, kind="stable"):
-        i, j = divmod(int(k), ious.shape[1])
-        if not ious[i, j] > iou_threshold:
-            break
-        if i not in used_p and j not in used_g:
-            used_p.add(i)
-            used_g.add(j)
-    return _f_score(len(used_p), *ious.shape)
+    # greedy one-to-one by descending IoU, ties in (pred, truth) order; the
+    # next float below -t as the distance bound keeps the match at IoU > t
+    matched = _greedy_match(-ious, np.nextafter(-iou_threshold, -np.inf))
+    return _f_score(len(matched), *ious.shape)
 
 
 def plane_f(
     pred_layout: VisibleLayout,
     gt_layout: VisibleLayout,
     grid: ImageGrid | None = None,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = PLANE_IOU_THRESHOLD,
 ) -> float:
     """Surface-matching F-score: same-class planes matched at mask IoU > 0.5.
 
@@ -539,5 +534,5 @@ def evaluate_pair(
         pixel_error=_column_pixel_error(bounds_p, bounds_g, grid),
         junction_f=junction_f(p_pts, g_pts, grid),
         wireframe_f=_wireframe_f(bounds_p, bounds_g, p_pts, g_pts, grid, THRESHOLDS),
-        plane_f=_plane_f(pred, gt, bounds_p, bounds_g, grid, 0.5),
+        plane_f=_plane_f(pred, gt, bounds_p, bounds_g, grid, PLANE_IOU_THRESHOLD),
     )

@@ -411,27 +411,21 @@ def _fixture_ok(room: SyntheticRoom, grid: ImageGrid, expected_pairs: int) -> bo
     if dist.min() < _MIN_CAMERA_CLEARANCE:
         return False
     jump_cols = np.array(sorted({cols[p[0]] for p in pairs}), dtype=float)
-    near_jump = np.zeros(w, dtype=bool)
-    idx = np.arange(w)
-    for jc in jump_cols:
-        delta = np.abs(idx - jc)
-        near_jump |= np.minimum(delta, w - delta) <= 2
+    # (column, jump) mask of the columns within 2 of each jump
+    windows = cyclic_column_distance(np.arange(w)[:, None], jump_cols[None, :], w) <= 2
+    near_jump = windows.any(axis=1)
     for y in (signal.y_f, signal.y_c):
         step = np.abs(np.roll(y, -1) - y)
         if step[~near_jump].size and step[~near_jump].max() > _MAX_SMOOTH_STEP:
             return False
         if expected_pairs and y is signal.y_f:
-            for jc in jump_cols:
-                delta = np.abs(idx - jc)
-                window = np.minimum(delta, w - delta) <= 2
+            for window in windows.T:
                 if step[window].max() < _MIN_JUMP_STEP:
                     return False
     ratio = np.maximum(dist, np.roll(dist, -1)) / np.minimum(dist, np.roll(dist, -1))
     if ratio[~near_jump].size and ratio[~near_jump].max() > _MAX_SMOOTH_RATIO:
         return False
-    for jc in jump_cols:
-        delta = np.abs(idx - jc)
-        window = np.minimum(delta, w - delta) <= 2
+    for window in windows.T:
         if ratio[window].max() < _MIN_JUMP_RATIO:
             return False
     return True

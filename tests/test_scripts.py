@@ -1,9 +1,21 @@
-"""Smoke tests of the experiment scripts on a small noisy corpus."""
+"""Tests of the experiment script on a small noisy corpus."""
 
 import importlib.util
 from pathlib import Path
 
-import pytest
+import numpy as np
+
+from panolayout import (
+    MODES,
+    ReconstructionError,
+    corner_error,
+    iou_2d,
+    junction_f,
+    make_fixture,
+    perturb_signal,
+    postprocess,
+    render_signal,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -15,29 +27,62 @@ def _load(name):
     return module
 
 
-def test_noise_sweep_runs_at_documented_sigma():
-    (row,) = _load("noise_sweep").sweep(["square", "l_room"], 2, [0.005])
-    sigma, iou_mean, iou_min, corner_err, exact = row
-    assert sigma == 0.005
-    assert 0 < iou_min <= iou_mean <= 1
-    assert corner_err >= 0
-    assert 0 <= exact <= 1
+SMALL = ["square", "l_room"], [0, 1]
 
 
-def test_run_ablation_runs_at_documented_sigma():
-    rows = _load("run_ablation").run(["square", "l_room"], 2, 0.005)
-    assert [r[0] for r in rows] == ["2d_only", "3d_only", "ensemble"]
-    for _, jf, iou, err, pair_acc in rows:
-        assert 0 <= jf <= 1 and 0 < iou <= 1 and err >= 0 and 0 <= pair_acc <= 1
+def test_layout_digest_table_on_small_corpus():
+    script = _load("layout_digest")
+    _, table = script.digest(*SMALL, [0.005])
+    assert list(table) == [(0.005, mode) for mode in MODES]
+    for cell in table.values():
+        assert cell.outcomes == {"ok": 4}
+        iou_mean, iou_min, err, jf, exact, pair_acc = script.summary(cell)
+        assert 0 < iou_min <= iou_mean <= 1 and err >= 0
+        assert 0 <= jf <= 1 and 0 <= exact <= 1 and 0 <= pair_acc <= 1
+    ious, errors, fscores, exact, pairs = [], [], [], 0, 0
+    for family in SMALL[0]:
+        for seed in SMALL[1]:
+            signal, truth = render_signal(make_fixture(family, seed))
+            pred = postprocess(perturb_signal(signal, 0.005, seed=seed))
+            ious.append(iou_2d(pred, truth))
+            errors.append(corner_error(pred, truth))
+            fscores.append(junction_f(pred, truth))
+            exact += len(pred.corners) == len(truth.corners)
+            pairs += len(pred.occlusion_pairs()) == len(truth.occlusion_pairs())
+    assert script.summary(table[0.005, "ensemble"]) == (
+        np.mean(ious), np.min(ious), np.mean(errors), np.mean(fscores), exact / 4, pairs / 4
+    )
+
+
+def test_layout_digest_counts_failures_by_class(monkeypatch, capsys):
+    script = _load("layout_digest")
+    real = script.postprocess
+    failing = perturb_signal(render_signal(make_fixture("square", 0))[0], 0.005, seed=0)
+
+    def fail_one_scene(signal, mode):
+        if np.array_equal(signal.y_f, failing.y_f):
+            raise ReconstructionError("too few corners")
+        return real(signal, mode=mode)
+
+    monkeypatch.setattr(script, "postprocess", fail_one_scene)
+    corpus = ["--families", *SMALL[0], "--seeds", *map(str, SMALL[1]), "--sigmas", "0.005"]
+    assert script.main(corpus) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.startswith("  0.0050")]
+    assert [row[1] for row in rows] == list(MODES)
+    for row in rows:
+        assert row[2] == "3" and row[-2:] == ["ReconstructionError", "1"]
+    assert "ensemble minus best single source" in out
+    assert "runs 12: ReconstructionError 3, ok 9" in out
 
 
 def test_layout_digest_repeats():
     digest = _load("layout_digest").digest
-    first = digest(["square", "l_room"], [0, 1])
-    assert digest(["square", "l_room"], [0, 1]) == first
-    hexdigest, outcomes = first
+    first = digest(*SMALL)
+    assert digest(*SMALL) == first
+    hexdigest, table = first
     assert len(hexdigest) == 64
-    assert sum(outcomes.values()) == 2 * 2 * 4 * 3
+    assert sum(sum(cell.outcomes.values()) for cell in table.values()) == 2 * 2 * 4 * 3
 
 
 # Output drift on the small corpus fails here without the full 2880-run
@@ -47,15 +92,15 @@ SMALL_CORPUS_DIGEST = "3cd68ae37089904a481f0c4c587b7a51d577b4d21b121bedc18a975ae
 
 
 def test_layout_digest_pinned_on_small_corpus():
-    hexdigest, outcomes = _load("layout_digest").digest(["square", "l_room"], [0, 1])
-    assert outcomes == {"ok": 48}
+    hexdigest, table = _load("layout_digest").digest(*SMALL)
+    assert all(cell.outcomes == {"ok": 4} for cell in table.values())
     assert hexdigest == SMALL_CORPUS_DIGEST
 
 
 def test_layout_digest_expect_sets_exit_status(capsys):
     script = _load("layout_digest")
     corpus = ["--families", "square", "l_room", "--seeds", "0", "1"]
-    hexdigest, _ = script.digest(["square", "l_room"], [0, 1])
+    hexdigest, _ = script.digest(*SMALL)
     assert script.main([*corpus, "--expect", hexdigest]) == 0
     assert "mismatch" not in capsys.readouterr().out
     wrong = "0" * 64
