@@ -30,15 +30,10 @@ def _load(name):
 SMALL = ["square", "l_room"], [0, 1]
 
 
-def test_layout_digest_table_on_small_corpus():
+def test_noise_sweep_runs_at_documented_sigma():
+    # The sweep is the ensemble row of layout_digest's table at each noise level.
     script = _load("layout_digest")
     _, table = script.digest(*SMALL, [0.005])
-    assert list(table) == [(0.005, mode) for mode in MODES]
-    for cell in table.values():
-        assert cell.outcomes == {"ok": 4}
-        iou_mean, iou_min, err, jf, exact, pair_acc = script.summary(cell)
-        assert 0 < iou_min <= iou_mean <= 1 and err >= 0
-        assert 0 <= jf <= 1 and 0 <= exact <= 1 and 0 <= pair_acc <= 1
     ious, errors, fscores, exact, pairs = [], [], [], 0, 0
     for family in SMALL[0]:
         for seed in SMALL[1]:
@@ -52,6 +47,18 @@ def test_layout_digest_table_on_small_corpus():
     assert script.summary(table[0.005, "ensemble"]) == (
         np.mean(ious), np.min(ious), np.mean(errors), np.mean(fscores), exact / 4, pairs / 4
     )
+
+
+def test_run_ablation_runs_at_documented_sigma():
+    # The ablation is the per-mode rows of layout_digest's table.
+    script = _load("layout_digest")
+    _, table = script.digest(*SMALL, [0.005])
+    assert list(table) == [(0.005, mode) for mode in MODES]
+    for cell in table.values():
+        assert cell.outcomes == {"ok": 4}
+        iou_mean, iou_min, err, jf, exact, pair_acc = script.summary(cell)
+        assert 0 < iou_min <= iou_mean <= 1 and err >= 0
+        assert 0 <= jf <= 1 and 0 <= exact <= 1 and 0 <= pair_acc <= 1
 
 
 def test_layout_digest_counts_failures_by_class(monkeypatch, capsys):
