@@ -32,7 +32,7 @@ from .fileio import (
 )
 from .geometry import CameraModel
 from .metrics import REGIMES, evaluate_pair
-from .synth import FIXTURE_FAMILIES, make_fixture, perturb_signal, render_signal
+from .synth import FIXTURE_FAMILIES, _rendered_fixture, perturb_signal
 
 CONFIG_ENV = "PANOLAYOUT_CONFIG"
 
@@ -188,8 +188,7 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     for k in range(args.count):
         seed = args.seed + k
-        room = make_fixture(args.family, seed)
-        signal, truth = render_signal(room)
+        _, signal, truth = _rendered_fixture(args.family, seed)
         if args.noise_sigma > 0:
             signal = perturb_signal(signal, args.noise_sigma, seed=seed)
         stem = f"{args.family}_{seed:04d}"

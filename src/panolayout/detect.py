@@ -156,17 +156,24 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     min_sep = config.min_separation(w)
     kept: list[int] = []
     for c in order.tolist():
-        if all(cyclic_column_distance(c, k, w) >= min_sep for k in kept):
+        # the cyclic distance of two integer columns in [0, w)
+        if all(min((c - k) % w, (k - c) % w) >= min_sep for k in kept):
             kept.append(c)
     return sorted(kept)
 
 
 def _box_smooth_cyclic(y: np.ndarray, span: int) -> np.ndarray:
-    """Cyclic box filter; exact under column rotation."""
+    """Cyclic box filter; exact under column rotation.
+
+    The shifted copies are added in order of shift, so slices of three copies
+    of ``y`` give the same sums, bit for bit, as ``np.roll``; the roll is left
+    for spans wider than the curve.
+    """
+    w, half = len(y), span // 2
+    ext = np.concatenate([y, y, y]) if span <= w else None
     acc = np.zeros_like(y)
-    half = span // 2
     for k in range(-half, span - half):
-        acc += np.roll(y, -k)
+        acc += ext[w + k : 2 * w + k] if ext is not None else np.roll(y, -k)
     return acc / span
 
 
@@ -250,21 +257,17 @@ def _cluster_columns(
         return []
     gaps = np.diff(cols, append=cols[0] + width)
     breaks = np.flatnonzero(gaps > radius)
-    if breaks.size == 0:
-        # everything chains together around the circle
-        segments = [np.arange(n)]
-    else:
-        start = (breaks[-1] + 1) % n
-        idx = np.arange(start, start + n) % n
-        seg_ends = [((b - start) % n) + 1 for b in breaks]
-        segments = np.split(idx, seg_ends[:-1])
-    means = []
-    for seg in segments:
-        c = cols[seg].copy()
-        c[c < c[0]] += width  # unwrap within the chain
-        m = float(np.average(c, weights=wts[seg])) % width
-        means.append(m)
-    return sorted(means)
+    # Chains in order from the first column after the last break, so a chain
+    # across the seam comes first; without a break one chain runs around the
+    # whole circle. Only that first chain has columns to unwrap.
+    start = int(breaks[-1] + 1) % n if breaks.size else 0
+    ends = ((breaks - start) % n + 1).tolist() if breaks.size else [n]
+    c, wts = np.roll(cols, -start), np.roll(wts, -start)
+    c[n - start : ends[0]] += width
+    # np.average per chain, without the split: sum(c * w) / sum(w)
+    prod = np.multiply(c, wts)
+    bounds = zip([0] + ends[:-1], ends)
+    return sorted(float(prod[a:b].sum() / wts[a:b].sum()) % width for a, b in bounds)
 
 
 def ensemble(
@@ -352,9 +355,9 @@ def extract_occlusion_pair(
         raise InputError(f"column {column} outside [0, {w})")
     half = config.extrema_window
     idx = (int(round(column)) + np.arange(-half, half + 1)) % w
-    y_f_win = signal.y_f[idx]
-    jumps = np.abs(np.diff(y_f_win))
-    j = int(np.argmax(jumps))
+    y = signal.y_f[idx].tolist()
+    jumps = [abs(b - a) for a, b in zip(y, y[1:])]
+    j = jumps.index(max(jumps))  # the first maximum, as np.argmax
     if jumps[j] < max(config.slope_threshold, 1e-12):
         raise AmbiguityError(
             f"no floor-boundary discontinuity within {half} columns of column {column}"
@@ -372,7 +375,7 @@ def extract_occlusion_pair(
 
     near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
     left_kind, right_kind = (
-        (near, far) if abs(signal.y_f[a]) > abs(signal.y_f[b]) else (far, near)
+        (near, far) if abs(y[j]) > abs(y[j + 1]) else (far, near)
     )
     # toward = +1 extrapolates the left wall rightward onto the jump, -1 the
     # right wall leftward

@@ -73,18 +73,17 @@ def parse_signal_file(data) -> BoundarySignal:
         raise ParseError(
             f"expected {3 * width} values for width {width}, got {len(values)}"
         )
-    rows = []
-    for r, name in enumerate(("y_p", "y_c", "y_f")):
-        row = np.empty(width)
-        for c in range(width):
-            tok = values[r * width + c]
-            try:
-                row[c] = float(tok)
-            except ValueError:
-                raise ParseError(f"{name} column {c}: not a number: {tok!r}") from None
-        rows.append(row)
     try:
-        return BoundarySignal(*rows)
+        nums = np.array(list(map(float, values)))
+    except ValueError:
+        for k, tok in enumerate(values):  # find the first bad token to name it
+            try:
+                float(tok)
+            except ValueError:
+                name = ("y_p", "y_c", "y_f")[k // width]
+                raise ParseError(f"{name} column {k % width}: not a number: {tok!r}") from None
+    try:
+        return BoundarySignal(*nums.reshape(3, width))
     except RoomLayoutError as e:
         raise ParseError(str(e)) from None
 
@@ -92,7 +91,7 @@ def parse_signal_file(data) -> BoundarySignal:
 def emit_signal_file(signal: BoundarySignal) -> str:
     lines = [SIGNAL_MAGIC, str(signal.width)]
     for row in (signal.y_p, signal.y_c, signal.y_f):
-        lines.append(" ".join(repr(float(v)) for v in row))
+        lines.append(" ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -168,18 +168,26 @@ def segments_properly_intersect(p1, p2, q1, q2) -> bool:
 
 
 def polygon_is_simple(points: np.ndarray) -> bool:
-    """Brute-force pairwise edge test; fine for layout-sized polygons."""
-    n = len(points)
-    if n < 3:
+    """Brute-force pairwise edge test on Python floats; fine for layout-sized
+    polygons. A polygon with a non-finite vertex is not simple."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if n < 3 or not np.isfinite(pts).all():
         return False
-    edges = [(points[i], points[(i + 1) % n]) for i in range(n)]
+    p = pts.tolist()
     for i in range(n):
-        if np.allclose(edges[i][0], edges[i][1]):
-            return False  # zero-length edge
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex
-            if segments_properly_intersect(*edges[i], *edges[j]):
+        a, b = p[i], p[(i + 1) % n]
+        (ax, ay), (bx, by) = a, b
+        # np.allclose(a, b) on finite floats: a zero-length edge
+        if abs(ax - bx) <= 1e-8 + 1e-5 * abs(bx) and abs(ay - by) <= 1e-8 + 1e-5 * abs(by):
+            return False
+        for j in range(i + 2, n - (i == 0)):  # adjacent edges share a vertex
+            q1, q2 = p[j], p[(j + 1) % n]
+            d = (_orient(q1, q2, a), _orient(q1, q2, b), _orient(a, b, q1), _orient(a, b, q2))
+            if ((d[0] > 0) != (d[1] > 0)) and ((d[2] > 0) != (d[3] > 0)):
+                return False
+            # a zero orientation may be a collinear overlap
+            if 0 in d and segments_properly_intersect(a, b, q1, q2):
                 return False
     return True
 
@@ -220,8 +228,10 @@ class VisibleLayout:
         if len(self.corners) < 3:
             raise AssemblyError(f"layout needs >= 3 corners, got {len(self.corners)}")
         self._check_order_and_pairs()
-        pts = self.floor_points()
-        if not polygon_is_simple(pts):
+        self._floor = np.array(
+            [floor_point(lon, c.floor_lat, self.camera) for lon, c in zip(self.lons(), self.corners)]
+        )
+        if not polygon_is_simple(self._floor):
             raise AssemblyError("floor polygon is self-intersecting or degenerate")
 
     def _check_order_and_pairs(self):
@@ -266,9 +276,7 @@ class VisibleLayout:
 
     def floor_points(self) -> np.ndarray:
         """(N, 2) floor polygon vertices in corner order, camera at origin."""
-        return np.array(
-            [floor_point(lon, c.floor_lat, self.camera) for lon, c in zip(self.lons(), self.corners)]
-        )
+        return self._floor.copy()
 
     def occlusion_pairs(self) -> list[tuple[int, int]]:
         """Indices (i, i + 1) of the occlusion pairs, polygon order."""
@@ -281,7 +289,7 @@ class VisibleLayout:
         return [(i, (i + 1) % n) for i in range(n) if (i, (i + 1) % n) not in occ]
 
     def floor_area(self) -> float:
-        return abs(polygon_signed_area(self.floor_points()))
+        return abs(polygon_signed_area(self._floor))
 
 
 def assemble_layout(

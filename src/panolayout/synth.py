@@ -388,16 +388,13 @@ _SAMPLERS = {
 }
 
 
-def _fixture_ok(room: SyntheticRoom, grid: ImageGrid, expected_pairs: int) -> bool:
-    """Signal-level detectability check; never consults the detection code."""
-    try:
-        signal, truth = render_signal(room, grid)
-    except RoomLayoutError:
-        return False
+def _fixture_ok(room: SyntheticRoom, signal, truth: VisibleLayout, expected_pairs: int) -> bool:
+    """Signal-level detectability check of a rendered room; never consults the
+    detection code."""
     pairs = truth.occlusion_pairs()
     if len(pairs) != expected_pairs:
         return False
-    w = grid.width
+    w = truth.grid.width
     cols = [c.column for c in truth.corners]
     pair_positions = {i for p in pairs for i in p}
     n = len(cols)
@@ -433,6 +430,12 @@ def _fixture_ok(room: SyntheticRoom, grid: ImageGrid, expected_pairs: int) -> bo
 
 def make_fixture(family: str, seed: int, grid: ImageGrid | None = None) -> SyntheticRoom:
     """Deterministic, detectable fixture room for a family and seed."""
+    return _rendered_fixture(family, seed, grid)[0]
+
+
+def _rendered_fixture(family: str, seed: int, grid: ImageGrid | None = None):
+    """``(room, signal, truth)``: ``make_fixture``'s room and the render its
+    detectability check accepted."""
     if family not in _SAMPLERS:
         raise InputError(f"unknown fixture family {family!r}; choose from {FIXTURE_FAMILIES}")
     if seed < 0:
@@ -442,8 +445,9 @@ def make_fixture(family: str, seed: int, grid: ImageGrid | None = None) -> Synth
     for _ in range(400):
         try:
             room = _SAMPLERS[family](rng)
+            signal, truth = render_signal(room, grid)
         except RoomLayoutError:
             continue
-        if _fixture_ok(room, grid, _EXPECTED_PAIRS[family]):
-            return room
+        if _fixture_ok(room, signal, truth, _EXPECTED_PAIRS[family]):
+            return room, signal, truth
     raise RuntimeError(f"could not sample a detectable {family} fixture for seed {seed}")

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from panolayout import FIXTURE_FAMILIES
+from panolayout.geometry import segments_properly_intersect
 from panolayout.panorama import cyclic_column_distance, lat_to_row
 from panolayout.synth import make_fixture, render_signal
 
@@ -137,3 +138,65 @@ def tree_chamfer():
     """The KD-tree chamfer oracle: ``.points(layout, bounds, grid,
     include_verticals)`` and ``.nearest(src, target, width, reach)``."""
     return SimpleNamespace(points=tree_wireframe_points, nearest=tree_nearest_distances)
+
+
+def allclose_polygon_is_simple(points: np.ndarray) -> bool:
+    """Reference for ``polygon_is_simple``: the all-pairs edge test on numpy
+    rows, with ``np.allclose`` for the zero-length edge test."""
+    n = len(points)
+    if n < 3:
+        return False
+    edges = [(points[i], points[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        if np.allclose(edges[i][0], edges[i][1]):
+            return False  # zero-length edge
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent edges share a vertex
+            if segments_properly_intersect(*edges[i], *edges[j]):
+                return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def polygon_oracle():
+    """The numpy polygon test, ``polygon_oracle(points)``; it agrees with
+    ``polygon_is_simple`` on polygons with finite vertices."""
+    return allclose_polygon_is_simple
+
+
+def split_cluster_columns(
+    columns: np.ndarray, strengths: np.ndarray, radius: int, width: int
+) -> list[float]:
+    """Reference for ``_cluster_columns``: one ``np.split`` chain at a time,
+    unwrapped on its own and averaged with ``np.average``."""
+    order = np.argsort(columns, kind="stable")
+    cols = columns[order].astype(float)
+    wts = strengths[order].astype(float)
+    n = len(cols)
+    if n == 0:
+        return []
+    gaps = np.diff(cols, append=cols[0] + width)
+    breaks = np.flatnonzero(gaps > radius)
+    if breaks.size == 0:
+        # everything chains together around the circle
+        segments = [np.arange(n)]
+    else:
+        start = (breaks[-1] + 1) % n
+        idx = np.arange(start, start + n) % n
+        seg_ends = [((b - start) % n) + 1 for b in breaks]
+        segments = np.split(idx, seg_ends[:-1])
+    means = []
+    for seg in segments:
+        c = cols[seg].copy()
+        c[c < c[0]] += width  # unwrap within the chain
+        m = float(np.average(c, weights=wts[seg])) % width
+        means.append(m)
+    return sorted(means)
+
+
+@pytest.fixture(scope="session")
+def cluster_oracle():
+    """The per-chain clustering reference,
+    ``cluster_oracle(columns, strengths, radius, width)``."""
+    return split_cluster_columns

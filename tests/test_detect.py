@@ -594,6 +594,36 @@ class TestClusterColumns:
         means = _cluster_columns(np.array([0, 1023]), np.array([1.0, 1e-300]), 3, W)
         assert means == [0.0]
 
+    @given(st.data())
+    def test_means_equal_per_chain_average(self, cluster_oracle, data):
+        # small widths and a radius up to 6 chain many candidates, often
+        # across the seam; the whole-circle case is drawn on its own below
+        width = data.draw(st.integers(8, 200))
+        radius = data.draw(st.integers(1, 6))
+        near_seam = st.integers(0, radius) | st.integers(width - 1 - radius, width - 1)
+        cols = data.draw(st.lists(st.integers(0, width - 1) | near_seam, max_size=40))
+        strengths = data.draw(
+            st.lists(st.floats(1e-6, 1e6), min_size=len(cols), max_size=len(cols))
+        )
+        args = (np.array(cols, dtype=np.int64), np.array(strengths), radius, width)
+        assert _cluster_columns(*args) == cluster_oracle(*args)
+
+    @given(st.data())
+    def test_chain_around_the_whole_circle(self, cluster_oracle, data):
+        width = data.draw(st.integers(8, 200))
+        radius = data.draw(st.integers(1, 6))
+        step = data.draw(st.integers(1, radius))
+        shift = data.draw(st.integers(0, width - 1))
+        # no gap, the seam's included, is wider than the step
+        cols = [(c + shift) % width for c in range(0, width, step)]
+        cols = data.draw(st.permutations(cols))
+        strengths = data.draw(
+            st.lists(st.floats(1e-6, 1e6), min_size=len(cols), max_size=len(cols))
+        )
+        args = (np.array(cols, dtype=np.int64), np.array(strengths), radius, width)
+        assert len(_cluster_columns(*args)) == 1
+        assert _cluster_columns(*args) == cluster_oracle(*args)
+
 
 def test_rotation_equivariance(t_room_case):
     _, sig, _ = t_room_case

@@ -1,5 +1,6 @@
 """On-disk formats: parsers, emitters, round trips, and mutation fuzzing."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from panolayout import (
+    FIXTURE_FAMILIES,
     BoundarySignal,
     CornerKind,
     EmitError,
@@ -30,7 +32,7 @@ from panolayout import (
     postprocess,
     render_signal,
 )
-from panolayout.synth import make_fixture
+from panolayout.synth import make_fixture, perturb_signal
 
 GRID = ImageGrid()
 
@@ -71,6 +73,27 @@ class TestSignalFile:
         out = parse_signal_file(emit_signal_file(sig).encode())
         assert out.width == 1024
         assert np.array_equal(out.y_f, sig.y_f)
+
+    # sha256 of emit_signal_file for each family at seed 0 and sigma 0.002
+    # (perturb_signal seed 0): a faster emitter must write the same bytes
+    SIG_SHA256 = {
+        "square": "3c27a597c0f016217396f34f4b397475e2987ebb4f5d6e13e69ca7aa51d4479f",
+        "rectangle": "f66faf387ae99f62b3d94e18aa88d62c306572d2fff564cb96fb054055b6c30f",
+        "pentagon": "34b3cb57d5f75af9bc93de7025c4c8ba3c9a5fc9eadce17aa48da9cbb2d44175",
+        "hexagon": "31096241db741dceabd8bf650cc662fbcd406166dbd3ad557a94e12537291856",
+        "l_room": "ced2e006cbd6329b0161cf985bdfe90e3d7ae47beb3e85813929bc1c79fceae2",
+        "t_room": "a4e0aee60f309b26b6187b04e5105705e6235c08a2adeb06a95585bec1845ba0",
+    }
+
+    @pytest.mark.parametrize("family", FIXTURE_FAMILIES)
+    def test_emitted_bytes_pinned(self, family):
+        sig, _ = render_signal(make_fixture(family, 0))
+        noisy = perturb_signal(sig, 0.002, seed=0)
+        text = emit_signal_file(noisy)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SIG_SHA256[family]
+        out = parse_signal_file(text)
+        for name in ("y_p", "y_c", "y_f"):
+            assert np.array_equal(getattr(out, name), getattr(noisy, name))
 
     def test_bad_magic(self):
         with pytest.raises(ParseError, match="magic"):
@@ -257,6 +280,14 @@ class TestLayoutJson:
         _, truth = fixture_layouts("square", 2)
         doc = json.loads(emit_layout_json(truth))
         doc["corners"][0]["kind"] = "imaginary"
+        with pytest.raises(ParseError):
+            parse_layout_json(json.dumps(doc))
+
+    def test_non_finite_floor_point_rejected(self):
+        # floor_lat -5e-324 puts the corner's floor point at infinity
+        _, truth = fixture_layouts("square", 2)
+        doc = json.loads(emit_layout_json(truth))
+        doc["corners"][1]["floor_lat"] = -5e-324
         with pytest.raises(ParseError):
             parse_layout_json(json.dumps(doc))
 

@@ -203,6 +203,17 @@ class TestVisibleLayout:
         assert layout.occlusion_pairs() == [(0, 1), (2, 3)]
         assert layout.wall_edges() == [(1, 2), (3, 4), (4, 5), (5, 0)]
 
+    def test_non_finite_floor_point_rejected(self):
+        # tan(5e-324) is 5e-324, so this corner's floor point is (inf, -inf)
+        corners = [_corner(100, 2.0), LayoutCorner(300.0, 0.5, -5e-324), _corner(700, 2.0)]
+        with pytest.raises(AssemblyError):
+            VisibleLayout(corners, CAM)
+
+    def test_floor_points_is_a_copy(self):
+        truth = self._square_layout()
+        truth.floor_points()[:] = 0.0
+        assert truth.floor_area() == pytest.approx(10.24, abs=1e-9)
+
     def test_last_pair_not_checked_against_first(self):
         # the near corner at the last index belongs to the pair before it,
         # not to the far corner at index 0, which is nearer than it
@@ -276,6 +287,10 @@ class TestPolygonHelpers:
         bow = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
         assert not polygon_is_simple(bow)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_vertex_not_simple(self, bad):
+        assert not polygon_is_simple(np.array([[0.0, 0.0], [bad, 0.0], [1.0, 1.0]]))
+
     def test_point_in_polygon(self):
         sq = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
         assert point_in_polygon(np.array([1.0, 1.0]), sq)
@@ -285,3 +300,57 @@ class TestPolygonHelpers:
         ell = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
         assert point_in_polygon(np.array([1.0, 3.0]), ell)
         assert not point_in_polygon(np.array([3.0, 3.0]), ell)
+
+
+@st.composite
+def _star_polygons(draw):
+    """3-20 vertices at random angles and radii; sorted angles give a star
+    polygon, unsorted ones mostly a self-intersecting one."""
+    n = draw(st.integers(3, 20))
+    angles = draw(st.lists(st.floats(0, 2 * math.pi, exclude_max=True), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        angles = sorted(angles)
+    return np.array([[r * math.cos(a), r * math.sin(a)] for a, r in zip(angles, radii)])
+
+
+# vertices on a small integer grid: exact collinear overlaps, touching and
+# repeated vertices
+_grid_polygons = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=8
+).map(lambda pts: 4.0 * np.array(pts))
+
+
+class TestPolygonIsSimpleOracle:
+    @given(_star_polygons())
+    def test_star_polygons(self, polygon_oracle, pts):
+        assert polygon_is_simple(pts) == polygon_oracle(pts)
+
+    @given(_grid_polygons)
+    def test_grid_polygons(self, polygon_oracle, pts):
+        assert polygon_is_simple(pts) == polygon_oracle(pts)
+
+    @given(_star_polygons(), st.data())
+    def test_repeated_vertex_within_tolerance(self, polygon_oracle, pts, data):
+        # a copy of vertex i moved by 0-2 times np.allclose's tolerance, or by
+        # a hair more or less than it: np.allclose scales the tolerance by
+        # the copy, not by vertex i
+        i = data.draw(st.integers(0, len(pts) - 1))
+        edge = st.sampled_from([s * (1 + e) for s in (-1, 1) for e in (-5e-6, 5e-6)])
+        factor = st.floats(-2.0, 2.0) | edge
+        t = data.draw(st.tuples(factor, factor))
+        near = pts[i] + np.array(t) * (1e-8 + 1e-5 * np.abs(pts[i]))
+        pts = np.insert(pts, i + 1, near, axis=0)
+        assert polygon_is_simple(pts) == polygon_oracle(pts)
+
+    @given(_grid_polygons, st.data())
+    def test_vertex_on_non_adjacent_edge(self, polygon_oracle, pts, data):
+        # an exact point of edge (j, j + 1), inserted as a vertex elsewhere
+        n = len(pts)
+        j = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(0, 4))
+        on_edge = pts[j] + k / 4 * (pts[(j + 1) % n] - pts[j])
+        apart = [i for i in range(n) if (i - j) % n > 2]  # no neighbour on the edge
+        i = data.draw(st.sampled_from(apart or [j]))
+        pts = np.insert(pts, i, on_edge, axis=0)
+        assert polygon_is_simple(pts) == polygon_oracle(pts)
