@@ -165,15 +165,15 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
 def _box_smooth_cyclic(y: np.ndarray, span: int) -> np.ndarray:
     """Cyclic box filter; exact under column rotation.
 
-    The shifted copies are added in order of shift, so slices of three copies
-    of ``y`` give the same sums, bit for bit, as ``np.roll``; the roll is left
-    for spans wider than the curve.
+    The shifted copies are added in order of shift, so slices of one cyclic
+    extension of ``y`` give the same sums, bit for bit, as ``np.roll(y, -k)``,
+    for any span.
     """
     w, half = len(y), span // 2
-    ext = np.concatenate([y, y, y]) if span <= w else None
+    ext = np.resize(np.roll(y, half), w + span - 1)  # ext[k + half + i] == y[(i + k) % w]
     acc = np.zeros_like(y)
     for k in range(-half, span - half):
-        acc += ext[w + k : 2 * w + k] if ext is not None else np.roll(y, -k)
+        acc += ext[k + half : k + half + w]
     return acc / span
 
 

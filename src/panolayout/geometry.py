@@ -144,6 +144,13 @@ def _orient(p, q, r):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
+def _on_segment(a, b, c) -> bool:
+    return (
+        min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
+        and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
+    )
+
+
 def segments_properly_intersect(p1, p2, q1, q2) -> bool:
     """True if the open segments cross or overlap (shared endpoints excluded)."""
     d1 = _orient(q1, q2, p1)
@@ -152,15 +159,11 @@ def segments_properly_intersect(p1, p2, q1, q2) -> bool:
     d4 = _orient(p1, p2, q2)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
         return True
+    if 0 not in (d1, d2, d3, d4):
+        return False
     # collinear overlap
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
-            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
-        )
-
     for d, a, b, c in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
-        if d == 0 and on_seg(a, b, c) and not (
+        if d == 0 and _on_segment(a, b, c) and not (
             np.allclose(c, a) or np.allclose(c, b)
         ):
             return True
@@ -182,12 +185,7 @@ def polygon_is_simple(points: np.ndarray) -> bool:
         if abs(ax - bx) <= 1e-8 + 1e-5 * abs(bx) and abs(ay - by) <= 1e-8 + 1e-5 * abs(by):
             return False
         for j in range(i + 2, n - (i == 0)):  # adjacent edges share a vertex
-            q1, q2 = p[j], p[(j + 1) % n]
-            d = (_orient(q1, q2, a), _orient(q1, q2, b), _orient(a, b, q1), _orient(a, b, q2))
-            if ((d[0] > 0) != (d[1] > 0)) and ((d[2] > 0) != (d[3] > 0)):
-                return False
-            # a zero orientation may be a collinear overlap
-            if 0 in d and segments_properly_intersect(a, b, q1, q2):
+            if segments_properly_intersect(a, b, p[j], p[(j + 1) % n]):
                 return False
     return True
 
@@ -207,14 +205,15 @@ def point_in_polygon(point, points: np.ndarray) -> bool:
     return inside
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisibleLayout:
     """An ordered cyclic corner list with camera model, room height, and grid.
 
     Corners are sorted by increasing column; the two corners of an occlusion
     pair share a column (they lie on one camera ray) and are adjacent in the
     list, in the order the boundary traverses them. The floor polygon traced
-    through the corners' floor points is simple.
+    through the corners' floor points is simple. The occlusion pairs and the
+    floor polygon are worked out once, at construction.
     """
 
     corners: list[LayoutCorner]
@@ -228,10 +227,11 @@ class VisibleLayout:
         if len(self.corners) < 3:
             raise AssemblyError(f"layout needs >= 3 corners, got {len(self.corners)}")
         self._check_order_and_pairs()
-        self._floor = np.array(
+        floor = np.array(
             [floor_point(lon, c.floor_lat, self.camera) for lon, c in zip(self.lons(), self.corners)]
         )
-        if not polygon_is_simple(self._floor):
+        object.__setattr__(self, "_floor", floor)
+        if not polygon_is_simple(floor):
             raise AssemblyError("floor polygon is self-intersecting or degenerate")
 
     def _check_order_and_pairs(self):
@@ -269,7 +269,7 @@ class VisibleLayout:
                     f"occlusion pair at column {near.column}: near point not closer than far"
                 )
             pairs.append((i, i + 1))
-        self._pairs = pairs
+        object.__setattr__(self, "_pairs", pairs)
 
     def lons(self) -> np.ndarray:
         return col_to_lon(np.array([c.column for c in self.corners]), self.grid)

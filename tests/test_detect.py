@@ -20,7 +20,7 @@ from panolayout.detect import (
     extract_occlusion_pair,
     postprocess,
 )
-from panolayout.detect import _cluster_columns, _refine_peak_column
+from panolayout.detect import _box_smooth_cyclic, _cluster_columns, _refine_peak_column
 from panolayout.errors import (
     AmbiguityError,
     InputError,
@@ -242,6 +242,16 @@ class TestDetect2d:
         for boundary in ("floor", "ceiling"):
             got = detect_2d(np.array(ys), cfg, boundary).tolist()
             assert got == scalar_detect_2d(ys, cfg, boundary)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.5, -0.01), min_size=1, max_size=12), st.integers(1, 40))
+    def test_box_smooth_matches_roll_loop(self, ys, span):
+        # spans wider than the curve wrap around it more than once
+        y = np.array(ys)
+        acc = np.zeros_like(y)
+        for k in range(-(span // 2), span - span // 2):
+            acc += np.roll(y, -k)
+        assert _box_smooth_cyclic(y, span).tolist() == (acc / span).tolist()
 
 
 class TestDetect3d:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -213,6 +214,12 @@ class TestVisibleLayout:
         truth = self._square_layout()
         truth.floor_points()[:] = 0.0
         assert truth.floor_area() == pytest.approx(10.24, abs=1e-9)
+
+    def test_frozen(self):
+        # the floor polygon is computed once, so the corners cannot be swapped
+        truth = self._square_layout()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            truth.corners = truth.corners[:3]
 
     def test_last_pair_not_checked_against_first(self):
         # the near corner at the last index belongs to the pair before it,
