@@ -100,7 +100,7 @@ class DiscontinuitySource(str, enum.Enum):
 CANDIDATE_DTYPE = np.dtype([("column", np.int64), ("source", "U15"), ("strength", float)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectConfig:
     """Tunable thresholds of the detection pipeline.
 
@@ -146,11 +146,8 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     config = config or DetectConfig()
     y_p = np.asarray(y_p, dtype=float)
     w = len(y_p)
-    is_peak = (
-        (y_p >= np.roll(y_p, 1))
-        & (y_p >= np.roll(y_p, -1))
-        & (y_p >= config.peak_threshold)
-    )
+    ext = np.concatenate((y_p[-1:], y_p, y_p[:1]))  # ext[i] == y_p[(i - 1) % w]
+    is_peak = (y_p >= ext[:-2]) & (y_p >= ext[2:]) & (y_p >= config.peak_threshold)
     cands = np.flatnonzero(is_peak)
     order = cands[np.lexsort((cands, -y_p[cands]))]
     min_sep = config.min_separation(w)
@@ -167,10 +164,11 @@ def _box_smooth_cyclic(y: np.ndarray, span: int) -> np.ndarray:
 
     The shifted copies are added in order of shift, so slices of one cyclic
     extension of ``y`` give the same sums, bit for bit, as ``np.roll(y, -k)``,
-    for any span.
+    for any span. The extension is ``span + 1`` copies of ``y``, about as many
+    values as the loop adds, entered at ``half * (w - 1)``, -half modulo w.
     """
     w, half = len(y), span // 2
-    ext = np.resize(np.roll(y, half), w + span - 1)  # ext[k + half + i] == y[(i + k) % w]
+    ext = np.concatenate((y,) * (span + 1))[half * (w - 1) :]  # ext[k + half + i] == y[(i + k) % w]
     acc = np.zeros_like(y)
     for k in range(-half, span - half):
         acc += ext[k + half : k + half + w]
@@ -206,14 +204,15 @@ def detect_2d(
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise InputError(f"non-finite boundary value at column {int(bad[0])}")
-    dy = np.abs(np.roll(y, -1) - y)
+    dy = np.abs(np.concatenate((y[1:], y[:1])) - y)
     # Box smoothing spreads a one-column slope change of m over `span` columns,
     # shrinking its second difference to m/span; the rescale by span turns the
     # statistic back into an estimate of the local slope-change rate so the
     # threshold is in radians per column squared.
     span = config.smoothing_width
     smooth = _box_smooth_cyclic(y, span)
-    d2 = span * np.abs(np.roll(smooth, -1) - 2 * smooth + np.roll(smooth, 1))
+    ext = np.concatenate((smooth[-1:], smooth, smooth[:1]))  # ext[i] == smooth[(i - 1) % w]
+    d2 = span * np.abs(ext[2:] - 2 * smooth + ext[:-2])
     kinks = np.flatnonzero(d2 > config.kink_threshold)
     slopes = np.flatnonzero(dy > config.slope_threshold)
     cands = np.concatenate(
@@ -239,7 +238,7 @@ def detect_3d(
     bad = np.flatnonzero(~(d > 0) | ~np.isfinite(d))
     if bad.size:
         raise InputError(f"nonpositive distance at column {int(bad[0])}")
-    nxt = np.roll(d, -1)
+    nxt = np.concatenate((d[1:], d[:1]))
     ratio = np.maximum(d, nxt) / np.minimum(d, nxt)
     cols = np.flatnonzero(ratio > config.jump_ratio)
     return _candidates(cols, src, ratio[cols])
@@ -262,7 +261,7 @@ def _cluster_columns(
     # whole circle. Only that first chain has columns to unwrap.
     start = int(breaks[-1] + 1) % n if breaks.size else 0
     ends = ((breaks - start) % n + 1).tolist() if breaks.size else [n]
-    c, wts = np.roll(cols, -start), np.roll(wts, -start)
+    c, wts = (np.concatenate((a[start:], a[:start])) for a in (cols, wts))
     c[n - start : ends[0]] += width
     # np.average per chain, without the split: sum(c * w) / sum(w)
     prod = np.multiply(c, wts)
@@ -334,6 +333,40 @@ def _extrapolate(y: np.ndarray, k: int, toward: int, dist: float, cap: float) ->
     return float(y[k]) + dist * min(max(slope, -cap), cap)
 
 
+def _occlusion_pairs(
+    signal: BoundarySignal, columns: Sequence[float], config: DetectConfig
+) -> list[tuple[LayoutCorner, LayoutCorner] | None]:
+    """``extract_occlusion_pair`` at every column in [0, width) in one array
+    pass over the windows: the pair at each column, None where ambiguous."""
+    w, half = signal.width, config.extrema_window
+    centers = np.rint(np.asarray(columns, dtype=float)).astype(np.int64)  # half to even, as round
+    idx = (centers[:, None] + np.arange(-half, half + 1)) % w
+    y = signal.y_f[idx]
+    jumps = np.abs(y[:, 1:] - y[:, :-1])
+    first = jumps.argmax(axis=1).tolist()  # each window's first largest jump
+    found = np.flatnonzero(jumps.max(axis=1) >= max(config.slope_threshold, 1e-12))
+
+    def corner_at(k: int, toward: int, col: float, kind: CornerKind) -> LayoutCorner:
+        ceil = _extrapolate(signal.y_c, k, toward, 0.5, config.slope_threshold)
+        floor = _extrapolate(signal.y_f, k, toward, 0.5, config.slope_threshold)
+        return LayoutCorner(
+            col, _clamp(ceil, *_CEIL_LAT_RANGE), _clamp(floor, *_FLOOR_LAT_RANGE), kind
+        )
+
+    near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
+    pairs: list[tuple[LayoutCorner, LayoutCorner] | None] = [None] * len(idx)
+    for r in found.tolist():
+        j = first[r]
+        a, b = idx[r, j : j + 2].tolist()
+        ya, yb = y[r, j : j + 2].tolist()
+        col = (a + 0.5) % w
+        left_kind, right_kind = (near, far) if abs(ya) > abs(yb) else (far, near)
+        # toward = +1 extrapolates the left wall rightward onto the jump, -1 the
+        # right wall leftward
+        pairs[r] = (corner_at(a, +1, col, left_kind), corner_at(b, -1, col, right_kind))
+    return pairs
+
+
 def extract_occlusion_pair(
     signal: BoundarySignal, column: float, config: DetectConfig | None = None
 ) -> tuple[LayoutCorner, LayoutCorner]:
@@ -350,36 +383,15 @@ def extract_occlusion_pair(
     pair is extracted there.
     """
     config = config or DetectConfig()
-    w = signal.width
-    if not 0 <= column < w:
-        raise InputError(f"column {column} outside [0, {w})")
-    half = config.extrema_window
-    idx = (int(round(column)) + np.arange(-half, half + 1)) % w
-    y = signal.y_f[idx].tolist()
-    jumps = [abs(b - a) for a, b in zip(y, y[1:])]
-    j = jumps.index(max(jumps))  # the first maximum, as np.argmax
-    if jumps[j] < max(config.slope_threshold, 1e-12):
+    if not 0 <= column < signal.width:
+        raise InputError(f"column {column} outside [0, {signal.width})")
+    (pair,) = _occlusion_pairs(signal, [column], config)
+    if pair is None:
         raise AmbiguityError(
-            f"no floor-boundary discontinuity within {half} columns of column {column}"
+            f"no floor-boundary discontinuity within {config.extrema_window} columns"
+            f" of column {column}"
         )
-    a, b = int(idx[j]), int(idx[j + 1])
-    col = (a + 0.5) % w
-    cap = config.slope_threshold
-
-    def corner_at(k: int, toward: int, kind: CornerKind) -> LayoutCorner:
-        ceil = _extrapolate(signal.y_c, k, toward, 0.5, cap)
-        floor = _extrapolate(signal.y_f, k, toward, 0.5, cap)
-        return LayoutCorner(
-            col, _clamp(ceil, *_CEIL_LAT_RANGE), _clamp(floor, *_FLOOR_LAT_RANGE), kind
-        )
-
-    near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
-    left_kind, right_kind = (
-        (near, far) if abs(y[j]) > abs(y[j + 1]) else (far, near)
-    )
-    # toward = +1 extrapolates the left wall rightward onto the jump, -1 the
-    # right wall leftward
-    return corner_at(a, +1, left_kind), corner_at(b, -1, right_kind)
+    return pair
 
 
 def candidates_for_mode(
@@ -464,9 +476,13 @@ def postprocess(
     """Full pipeline: peaks + discontinuity detection + pair extraction + assembly.
 
     The mode chooses which candidate sources feed the ensemble (image-space
-    only, plan-space only, or both); corner peaks are always used. Confirmed
-    discontinuities that sit on a corner peak replace that corner with its
-    occlusion pair rather than duplicating it.
+    only, plan-space only, or both); corner peaks are always used. A
+    confirmed column becomes an occlusion pair when its extrema window holds
+    a floor jump of at least the slope threshold; a pair whose confirmed or
+    jump column lies within the cluster radius of a corner peak replaces that
+    corner rather than duplicating it.
+    A confirmed column without such a jump adds nothing, and a corner peak
+    near it stays a plain corner.
     """
     config = config or DetectConfig()
     cam = cam or CameraModel()
@@ -477,11 +493,9 @@ def postprocess(
 
     pairs: dict[float, tuple[LayoutCorner, LayoutCorner]] = {}  # by jump column
     pair_cols: list[float] = []  # confirmed and jump column of each kept pair
-    for col in confirmed:
-        try:
-            pair = extract_occlusion_pair(signal, col, config)
-        except AmbiguityError:
-            continue  # kink-only cluster on a continuous boundary: a plain corner
+    for col, pair in zip(confirmed, _occlusion_pairs(signal, confirmed, config)):
+        if pair is None:
+            continue  # no floor jump in the window: the column adds nothing
         jump_col = pair[0].column  # both corners sit on the jump midpoint
         if jump_col not in pairs:
             pairs[jump_col] = pair

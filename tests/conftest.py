@@ -5,7 +5,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from panolayout import FIXTURE_FAMILIES
-from panolayout.geometry import segments_properly_intersect
+from panolayout.detect import _CEIL_LAT_RANGE, _FLOOR_LAT_RANGE, _clamp, _extrapolate
+from panolayout.errors import AmbiguityError
+from panolayout.geometry import CornerKind, LayoutCorner, segments_properly_intersect
 from panolayout.panorama import cyclic_column_distance, lat_to_row
 from panolayout.synth import make_fixture, render_signal
 
@@ -200,3 +202,52 @@ def cluster_oracle():
     """The per-chain clustering reference,
     ``cluster_oracle(columns, strengths, radius, width)``."""
     return split_cluster_columns
+
+
+def scalar_occlusion_pair(signal, column, config):
+    """Reference for ``extract_occlusion_pair`` at a column in [0, width): the
+    window read as a Python list, its first largest jump found with
+    ``list.index``."""
+    w = signal.width
+    half = config.extrema_window
+    idx = (int(round(column)) + np.arange(-half, half + 1)) % w
+    y = signal.y_f[idx].tolist()
+    jumps = [abs(b - a) for a, b in zip(y, y[1:])]
+    j = jumps.index(max(jumps))
+    if jumps[j] < max(config.slope_threshold, 1e-12):
+        raise AmbiguityError(
+            f"no floor-boundary discontinuity within {half} columns of column {column}"
+        )
+    a, b = int(idx[j]), int(idx[j + 1])
+    col = (a + 0.5) % w
+    cap = config.slope_threshold
+
+    def corner_at(k, toward, kind):
+        ceil = _extrapolate(signal.y_c, k, toward, 0.5, cap)
+        floor = _extrapolate(signal.y_f, k, toward, 0.5, cap)
+        return LayoutCorner(
+            col, _clamp(ceil, *_CEIL_LAT_RANGE), _clamp(floor, *_FLOOR_LAT_RANGE), kind
+        )
+
+    near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
+    left_kind, right_kind = (near, far) if abs(y[j]) > abs(y[j + 1]) else (far, near)
+    return corner_at(a, +1, left_kind), corner_at(b, -1, right_kind)
+
+
+def loop_occlusion_pairs(signal, columns, config):
+    """Reference for ``_occlusion_pairs``: ``scalar_occlusion_pair`` one column
+    at a time, None where it raises ``AmbiguityError``."""
+    pairs = []
+    for col in columns:
+        try:
+            pairs.append(scalar_occlusion_pair(signal, col, config))
+        except AmbiguityError:
+            pairs.append(None)
+    return pairs
+
+
+@pytest.fixture(scope="session")
+def pair_oracle():
+    """The per-column pair references: ``.pair(signal, column, config)`` and
+    ``.pairs(signal, columns, config)``."""
+    return SimpleNamespace(pair=scalar_occlusion_pair, pairs=loop_occlusion_pairs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -184,6 +185,13 @@ class TestDetectConfig:
     def test_numpy_integers_accepted(self):
         cfg = DetectConfig(cluster_radius=np.int64(6), peak_min_separation=np.int32(3))
         assert cfg.min_separation(W) == 3
+
+    @pytest.mark.parametrize("name, value", [("extrema_window", 0), ("smoothing_width", 2.5)])
+    def test_frozen(self, name, value):
+        # an assignment would bypass the checks above and fail inside postprocess
+        cfg = DetectConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
 
 @pytest.mark.parametrize("detect", [detect_2d, detect_3d])
@@ -493,6 +501,67 @@ class TestExtractOcclusionPair:
         with pytest.raises(AmbiguityError):
             extract_occlusion_pair(sig, 100, DetectConfig())
 
+    def test_jump_at_threshold_is_a_pair_one_ulp_below_is_not(self):
+        y_f = np.where(np.arange(W) < 100, -0.5, -0.25)  # one jump of exactly 0.25
+        sig = BoundarySignal(np.zeros(W), np.full(W, 0.5), y_f)
+        left, right = extract_occlusion_pair(sig, 100, DetectConfig(slope_threshold=0.25))
+        assert left.column == right.column == 99.5
+        above = DetectConfig(slope_threshold=math.nextafter(0.25, 1.0))
+        with pytest.raises(AmbiguityError, match="within 5 columns of column 100"):
+            extract_occlusion_pair(sig, 100, above)
+
+    def test_tied_jumps_first_in_window_wins(self):
+        # two jumps of 0.25 straddle the seam; the window runs W-3 .. 3
+        y_f = np.full(W, -0.5)
+        y_f[[-1, 0]] = -0.25
+        sig = BoundarySignal(np.zeros(W), np.full(W, 0.5), y_f)
+        cfg = DetectConfig(extrema_window=3)
+        for column in (0, W - 0.5):  # W - 0.5 rounds to W, that is column 0
+            left, right = extract_occlusion_pair(sig, column, cfg)
+            assert left.column == right.column == W - 1.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pair_pass_matches_per_column_loop(self, pair_oracle, data):
+        w = data.draw(st.integers(2, 24))
+        coarse = st.sampled_from([-1.0, -0.75, -0.5, -0.25])  # tied jumps
+        levels = data.draw(
+            st.sampled_from(
+                [
+                    coarse | st.floats(-1.5, -0.01),  # random steps
+                    coarse,
+                    # one-ulp jumps, under the 1e-12 floor of the threshold
+                    st.sampled_from([-0.5, math.nextafter(-0.5, 0.0)]),
+                ]
+            )
+        )
+        y_f = np.array(data.draw(st.lists(levels, min_size=w, max_size=w)))
+        y_c = np.array(data.draw(st.lists(st.floats(0.01, 1.5), min_size=w, max_size=w)))
+        sig = BoundarySignal(np.zeros(w), y_c, y_f)
+        # a threshold equal to one of the signal's jumps, or one ulp above it
+        jumps = np.abs(np.diff(y_f, append=y_f[0]))
+        at_jump = st.sampled_from(sorted(set(jumps[jumps > 0].tolist())) or [0.25])
+        ulp_above = at_jump.map(lambda j: math.nextafter(j, 1.0))
+        thr = data.draw(st.floats(1e-3, 0.5) | at_jump | ulp_above)
+        # windows up to twice the width wrap onto themselves
+        half = data.draw(st.integers(1, 2 * w))
+        cfg = DetectConfig(slope_threshold=thr, extrema_window=half)
+        near_seam = st.floats(w - 0.5, w, exclude_max=True) | st.just(w - 0.5)
+        halves = st.integers(0, w - 1).map(lambda c: c + 0.5)  # round half to even
+        column = st.floats(0, w, exclude_max=True) | near_seam | halves
+        cols = data.draw(st.lists(column, max_size=8))
+        want = pair_oracle.pairs(sig, cols, cfg)
+        assert detect._occlusion_pairs(sig, cols, cfg) == want
+        for col, pair in zip(cols, want):
+            if pair is not None:
+                assert extract_occlusion_pair(sig, col, cfg) == pair
+                continue
+            with pytest.raises(AmbiguityError) as expected:
+                pair_oracle.pair(sig, col, cfg)
+            with pytest.raises(AmbiguityError) as got:
+                extract_occlusion_pair(sig, col, cfg)
+            assert str(got.value) == str(expected.value)
+
 
 class TestPostprocess:
     @pytest.mark.parametrize("mode", MODES)
@@ -553,6 +622,19 @@ class TestPostprocess:
         layout = postprocess(sig, cfg)
         assert layout.corners == base.corners
         assert len(layout.occlusion_pairs()) == 1
+
+    def test_column_without_floor_jump_adds_nothing_and_claims_no_peak(
+        self, square_case, monkeypatch
+    ):
+        _, sig, _ = square_case
+        base = postprocess(sig)
+        # a confirmed column one past a corner, where the floor boundary is continuous
+        extra = float(base.corners[0].column) + 1.0
+        with pytest.raises(AmbiguityError):
+            extract_occlusion_pair(sig, extra)
+        real_ensemble = detect.ensemble
+        monkeypatch.setattr(detect, "ensemble", lambda *a: sorted(real_ensemble(*a) + [extra]))
+        assert postprocess(sig).corners == base.corners
 
     def test_too_few_corners(self):
         sig = BoundarySignal(np.zeros(W), np.full(W, 0.5), np.full(W, -0.5))
@@ -632,6 +714,64 @@ class TestClusterColumns:
         )
         args = (np.array(cols, dtype=np.int64), np.array(strengths), radius, width)
         assert len(_cluster_columns(*args)) == 1
+        assert _cluster_columns(*args) == cluster_oracle(*args)
+
+
+class TestRollFreeNeighbours:
+    """Cyclic neighbours taken with slices equal the ``np.roll`` forms they
+    replace, down to curves of one and two columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 1.0), min_size=1, max_size=12)
+    )
+    def test_corner_peaks(self, ys):
+        y = np.array(ys)
+        want = (y >= np.roll(y, 1)) & (y >= np.roll(y, -1)) & (y >= 0.5)
+        # a minimum separation of one column suppresses no peak
+        cfg = DetectConfig(peak_min_separation=1)
+        assert extract_corner_peaks(y, cfg) == np.flatnonzero(want).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-0.5, -0.25]) | st.floats(-1.5, -0.01), min_size=1, max_size=12),
+        st.floats(1e-3, 0.2),
+        st.floats(1e-3, 0.2),
+        st.integers(1, 7),
+    )
+    def test_detect_2d(self, ys, slope, kink, span):
+        y = np.array(ys)
+        dy = np.abs(np.roll(y, -1) - y)
+        smooth = _box_smooth_cyclic(y, span)
+        d2 = span * np.abs(np.roll(smooth, -1) - 2 * smooth + np.roll(smooth, 1))
+        rows = [(i, "kink2d_floor", d2[i]) for i in np.flatnonzero(d2 > kink).tolist()]
+        rows += [(i, "slope2d_floor", dy[i]) for i in np.flatnonzero(dy > slope).tolist()]
+        cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink, smoothing_width=span)
+        assert detect_2d(y, cfg).tolist() == sorted(rows, key=lambda r: r[:2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1.6, 3.2]) | st.floats(0.1, 10.0), min_size=1, max_size=12),
+        st.floats(1.001, 3.0),
+    )
+    def test_detect_3d(self, ds, jump_ratio):
+        d = np.array(ds)
+        ratio = np.maximum(d, np.roll(d, -1)) / np.minimum(d, np.roll(d, -1))
+        cols = np.flatnonzero(ratio > jump_ratio).tolist()
+        rows = [(i, "jump3d_floor", ratio[i]) for i in cols]
+        assert detect_3d(d, DetectConfig(jump_ratio=jump_ratio)).tolist() == rows
+
+    @given(st.data())
+    def test_cluster_columns(self, cluster_oracle, data):
+        # the chain rotation on circles of 1-12 columns, against the per-chain
+        # reference that rotates nothing
+        width = data.draw(st.integers(1, 12))
+        cols = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=12))
+        strengths = data.draw(
+            st.lists(st.floats(1e-6, 1e6), min_size=len(cols), max_size=len(cols))
+        )
+        radius = data.draw(st.integers(1, 3))
+        args = (np.array(cols, dtype=np.int64), np.array(strengths), radius, width)
         assert _cluster_columns(*args) == cluster_oracle(*args)
 
 
