@@ -136,8 +136,8 @@ def estimate_room_height(signal: "BoundarySignal", cam: CameraModel) -> float:
 
 
 def polygon_signed_area(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate([points[1:], points[:1]])
+    return 0.5 * float(np.sum(points[:, 0] * nxt[:, 1] - nxt[:, 0] * points[:, 1]))
 
 
 def _orient(p, q, r):

@@ -9,13 +9,16 @@ special case.
 Corner-level scores work in pixel space with cyclic column distances, so
 every metric here is invariant under rotating both panoramas by the same
 number of columns. :func:`evaluate_pair` renders each layout's boundary
-curves once and shares them between the pixel, wireframe and plane scores.
+curves once (the grid's ray directions are cached per grid), converts them
+to image rows once, and shares them between the pixel, wireframe and plane
+scores.
 
 The wireframe chamfer is exact and needs no search tree: a wireframe is two
 curves with one point per integer column plus vertical runs of integer rows
 at corner columns, so nearest points are found by clipping rows to runs and
-by a window of columns no wider than the largest threshold. Plane F takes
-the IoUs of each pred plane with every truth plane in one array operation.
+by a window of columns no wider than the largest threshold. Plane F scores
+only same-label plane pairs (ceiling with ceiling, floor with floor, wall
+with wall), one pred plane at a time against all truth planes of its label.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def _edge_crossing_ys(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """y of every point where an edge of ``pa`` meets an edge of ``pb``, taken
     along both edges so the result does not depend on the argument order."""
     a, b = pa[:, None, :], pb[None, :, :]
-    da = np.roll(pa, -1, axis=0)[:, None, :] - a
-    db = np.roll(pb, -1, axis=0)[None, :, :] - b
+    da = np.concatenate([pa[1:], pa[:1]])[:, None, :] - a
+    db = np.concatenate([pb[1:], pb[:1]])[None, :, :] - b
     cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = cross(b - a, db) / cross(da, db)
@@ -94,7 +97,7 @@ def _slab_areas(pa: np.ndarray, pb: np.ndarray) -> tuple[float, float, float]:
     mid = 0.5 * (ys[:-1] + ys[1:])
     (x1, y1), (x2, y2) = (
         np.vstack(ends).T[:, :, None]
-        for ends in ((pa, pb), (np.roll(pa, -1, axis=0), np.roll(pb, -1, axis=0)))
+        for ends in ((pa, pb), (pa[1:], pa[:1], pb[1:], pb[:1]))
     )
     crosses = (y1 <= mid) != (y2 <= mid)  # half-open: each polygon crosses evenly
     x = np.where(crosses, x1 + (mid - y1) * (x2 - x1) / np.where(crosses, y2 - y1, 1.0), x1.max())
@@ -152,7 +155,10 @@ def _pixel_distances(p: np.ndarray, q: np.ndarray, width: float | None) -> np.nd
 def _as_corner_points(x, grid: ImageGrid) -> np.ndarray:
     if isinstance(x, VisibleLayout):
         return corner_image_points(x, grid)
-    return np.asarray(x, dtype=float).reshape(-1, 2)
+    pts = np.asarray(x, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise InputError("corner points must be finite")
+    return pts
 
 
 def corner_error(
@@ -197,6 +203,12 @@ def _greedy_match(dist: np.ndarray, threshold: float) -> list[float]:
     return out
 
 
+def _check_thresholds(thresholds: Sequence[float]) -> None:
+    ts = np.asarray(thresholds, dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(ts < 0):
+        raise InputError(f"thresholds must be non-empty, finite and >= 0, got {thresholds}")
+
+
 def _f1(precision: float, recall: float) -> float:
     return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
 
@@ -217,8 +229,11 @@ def junction_f(
 ) -> float:
     """Corner-matching F-score averaged over the pixel thresholds.
 
-    Accepts layouts or (N, 2) pixel point arrays.
+    Accepts layouts or (N, 2) pixel point arrays. Thresholds must be
+    non-empty, finite and >= 0. Greedy matching at a threshold is a prefix of
+    the greedy matching at the largest one, so that one matching serves all.
     """
+    _check_thresholds(thresholds)
     grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
     p = _as_corner_points(pred_corners, grid)
     q = _as_corner_points(gt_corners, grid)
@@ -226,11 +241,8 @@ def junction_f(
         return 1.0
     if len(p) == 0 or len(q) == 0:
         return 0.0
-    dist = _pixel_distances(p, q, grid.width)
-    scores = []
-    for t in thresholds:
-        matched = len(_greedy_match(dist, t))
-        scores.append(_f_score(matched, len(p), len(q)))
+    matched = np.array(_greedy_match(_pixel_distances(p, q, grid.width), max(thresholds)))
+    scores = [_f_score(np.count_nonzero(matched <= t), len(p), len(q)) for t in thresholds]
     return float(np.mean(scores))
 
 
@@ -292,13 +304,17 @@ def corner_image_points(layout: VisibleLayout, grid: ImageGrid | None = None) ->
     return np.stack([cols, lat_to_row(lats, grid)], axis=1)
 
 
-def _wireframe(bounds, corner_pts, grid: ImageGrid):
-    """A wireframe as the chamfer search reads it: the rows of both boundary
-    curves at every integer column, shape (2, width), and the vertical runs of
-    integer rows between each corner's junctions, as (column, first row, last
-    row) arrays. ``corner_pts`` is :func:`corner_image_points`, or None for a
-    wireframe without verticals."""
-    rows = np.stack([lat_to_row(y, grid) for y in bounds])
+def _rows(bounds, grid: ImageGrid) -> np.ndarray:
+    """(2, width) rows of a (y_c, y_f) boundary pair at every integer column."""
+    return lat_to_row(np.stack(bounds), grid)
+
+
+def _wireframe(rows, corner_pts):
+    """A wireframe as the chamfer search reads it: the :func:`_rows` of both
+    boundary curves, and the vertical runs of integer rows between each
+    corner's junctions, as (column, first row, last row) arrays.
+    ``corner_pts`` is :func:`corner_image_points`, or None for a wireframe
+    without verticals."""
     if corner_pts is None:
         return rows, (np.empty(0), np.empty(0), np.empty(0))
     cols = corner_pts[0::2, 0]
@@ -322,11 +338,13 @@ def _seam_rows(rows, width: int, reach: float, pad: int) -> np.ndarray:
     column beyond an edge holds the seam copy of column ``% width`` where the
     copies hold that column (``c <= reach`` one width right, ``c >= width -
     reach`` one width left), and ``inf`` rows elsewhere."""
-    tc = np.arange(-pad, width + pad + 1.0)
-    c = tc % width
-    shift = tc - c
-    held = (shift == 0) | (shift == width) & (c <= reach) | (shift == -width) & (c >= width - reach)
-    return np.where(held, rows[:, c.astype(np.intp)], np.inf)
+    out = np.full((2, width + 2 * pad + 1), np.inf)
+    out[:, pad : pad + width] = rows
+    n_right = max(min(math.floor(reach), pad, width - 1) + 1, 0)  # columns 0 .. n_right - 1
+    left = min(max(math.ceil(width - reach), width - pad, 0), width)  # columns left .. width - 1
+    out[:, pad + width : pad + width + n_right] = rows[:, :n_right]
+    out[:, pad - (width - left) : pad] = rows[:, left:]
+    return out
 
 
 def _curve_sq_distances(frac, sv, idx, offsets, seam_rows) -> np.ndarray:
@@ -358,7 +376,9 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
     with the copies' columns ``c + width`` and ``c - width`` computed in
     float, a point counts when its squared distance is below the square of
     the next float above ``reach`` (one exactly ``reach`` away counts), and
-    one ``sqrt`` comes last.
+    one ``sqrt`` comes last. A point at distance 0 always counts; that
+    differs from the query only where the bound's square underflows to 0,
+    as it does at ``reach`` 0.
     """
     rows, (cols, first, last) = wire
     dv2 = np.clip(np.rint(sv), first[:, None], last[:, None])
@@ -367,9 +387,11 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
     d2 = np.full(len(su), np.inf)
     copies = ((0.0, slice(None)), (width, cols <= reach), (-width, cols >= width - reach))
     for shift, held in copies:
-        sq = (su - (cols[held, None] + shift)) ** 2
-        sq += dv2[held]
-        np.minimum(d2, sq.min(axis=0, initial=np.inf), out=d2)
+        run_cols = cols[held]
+        if run_cols.size:
+            sq = (su - (run_cols[:, None] + shift)) ** 2
+            sq += dv2[held]
+            np.minimum(d2, sq.min(axis=0), out=d2)
     # A curve point in integer column tc lies (su - base) - (tc - base) columns
     # away, which rounds as su - tc does because su - base is exact.
     pad = max(math.ceil(reach), 0)
@@ -381,20 +403,22 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
     far = np.flatnonzero(d2 > 1.0)
     offsets = np.arange(-pad, pad + 2)
     # blocks of points keep the window's (offsets, points) arrays small
-    for block in np.split(far, np.arange(_WINDOW_BLOCK, far.size, _WINDOW_BLOCK)):
+    for start in range(0, far.size, _WINDOW_BLOCK):
+        block = far[start : start + _WINDOW_BLOCK]
         idx = base_idx[block] + offsets[:, None]
         window = _curve_sq_distances(frac[block], sv[block], idx, offsets, seam_rows)
         d2[block] = np.minimum(d2[block], window)
     bound = np.nextafter(reach, np.inf)
-    return np.where(d2 < bound * bound, np.sqrt(d2), np.inf)
+    return np.where((d2 < bound * bound) | (d2 == 0.0), np.sqrt(d2), np.inf)
 
 
-def _wireframe_f(bounds_p, bounds_g, pts_p, pts_g, grid: ImageGrid, thresholds) -> float:
-    wire_p, wire_g = _wireframe(bounds_p, pts_p, grid), _wireframe(bounds_g, pts_g, grid)
+def _wireframe_f(rows_p, rows_g, pts_p, pts_g, width: int, thresholds) -> float:
+    wire_p, wire_g = _wireframe(rows_p, pts_p), _wireframe(rows_g, pts_g)
     reach = max(thresholds)
-    d_p = _nearest_distances(*_wireframe_points(wire_p), wire_g, grid.width, reach)
-    d_g = _nearest_distances(*_wireframe_points(wire_g), wire_p, grid.width, reach)
-    scores = [_f1(float(np.mean(d_p <= t)), float(np.mean(d_g <= t))) for t in thresholds]
+    d_p = _nearest_distances(*_wireframe_points(wire_p), wire_g, width, reach)
+    d_g = _nearest_distances(*_wireframe_points(wire_g), wire_p, width, reach)
+    share = lambda d, t: np.count_nonzero(d <= t) / d.size
+    scores = [_f1(share(d_p, t), share(d_g, t)) for t in thresholds]
     return float(np.mean(scores))
 
 
@@ -408,69 +432,66 @@ def wireframe_f(
     """Boundary-curve chamfer F-score averaged over the pixel thresholds.
 
     The wireframe is both boundary curves plus (by default) the vertical
-    junction segment at every corner column. Thresholds must be finite.
-    Boundary signals are accepted without verticals only, since verticals
-    are drawn at a layout's corners.
+    junction segment at every corner column. Thresholds must be non-empty,
+    finite and >= 0. Boundary signals are accepted without verticals only,
+    since verticals are drawn at a layout's corners.
     """
-    if not np.all(np.isfinite(thresholds)):
-        raise InputError(f"wireframe thresholds must be finite, got {thresholds}")
+    _check_thresholds(thresholds)
     if include_verticals and not (
         isinstance(pred_layout, VisibleLayout) and isinstance(gt_layout, VisibleLayout)
     ):
         raise InputError("wireframe verticals need two layouts; pass include_verticals=False")
     grid = grid or pred_layout.grid
-    bounds = (_boundaries_of(pred_layout, grid), _boundaries_of(gt_layout, grid))
+    rows = [_rows(_boundaries_of(x, grid), grid) for x in (pred_layout, gt_layout)]
     pts = (None, None)
     if include_verticals:
         pts = (corner_image_points(pred_layout, grid), corner_image_points(gt_layout, grid))
-    return _wireframe_f(*bounds, *pts, grid, thresholds)
+    return _wireframe_f(*rows, *pts, grid.width, thresholds)
 
 
-def _cyclic_col_range(c0: float, c1: float, width: int) -> np.ndarray:
-    """Integer columns whose centers lie in the cyclic interval [c0, c1)."""
-    if c1 < c0:
-        c1 += width
-    cols = np.arange(np.ceil(c0), np.ceil(c1))
-    return (cols.astype(np.int64)) % width
-
-
-def _planes(layout: VisibleLayout, bounds, grid: ImageGrid):
-    """Each plane's label, and its top and bottom rows at every column as two
-    (planes, width) arrays: the ceiling, the floor, then one wall per wall
-    edge, 0-height outside its columns."""
-    rows_c, rows_f = (lat_to_row(y, grid) for y in bounds)
+def _planes(layout: VisibleLayout, rows, grid: ImageGrid):
+    """Each plane's top and bottom rows at every column, from the layout's
+    :func:`_rows`, as two (planes, width) arrays: the ceiling, the floor, then
+    one wall per wall edge, 0-height outside the integer columns whose
+    centers lie in its cyclic column interval [start, end)."""
     corners, edges = layout.corners, layout.wall_edges()
-    labels = np.array(["ceiling", "floor"] + ["wall"] * len(edges))
-    top = np.zeros((len(labels), grid.width))
-    bot = np.zeros((len(labels), grid.width))
-    top[0], bot[0] = -0.5, rows_c
-    top[1], bot[1] = rows_f, grid.height - 0.5
-    for k, (i, j) in enumerate(edges, start=2):
-        cols = _cyclic_col_range(corners[i].column, corners[j].column, grid.width)
-        top[k, cols] = rows_c[cols]
-        bot[k, cols] = rows_f[cols]
-    return labels, top, bot
+    top, bot = np.zeros((2, 2 + len(edges), grid.width))
+    top[0], bot[0] = -0.5, rows[0]
+    top[1], bot[1] = rows[1], grid.height - 0.5
+    c0, c1 = np.array([(corners[i].column, corners[j].column) for i, j in edges]).reshape(-1, 2).T
+    first = np.ceil(c0).astype(np.intp)
+    counts = np.ceil(np.where(c1 < c0, c1 + grid.width, c1)).astype(np.intp) - first
+    # all walls' column runs end to end; run k starts at position ends[k] - counts[k]
+    ends = np.cumsum(counts)
+    planes = np.repeat(np.arange(2, 2 + len(edges)), counts)
+    cols = (np.arange(counts.sum()) + np.repeat(first - ends + counts, counts)) % grid.width
+    top[planes, cols] = rows[0, cols]
+    bot[planes, cols] = rows[1, cols]
+    return top, bot
 
 
 def _plane_ious(planes_p, planes_g) -> np.ndarray:
     """Mask IoU of every pred plane with every truth plane, from the column
-    intervals of :func:`_planes`; ``-inf`` where the labels differ."""
-    (labels_p, top_p, bot_p), (labels_g, top_g, bot_g) = planes_p, planes_g
-    inter = np.empty((len(labels_p), len(labels_g)))
-    for i in range(len(labels_p)):  # a row at a time: temporaries stay (truth planes, width)
-        overlap = np.minimum(bot_p[i], bot_g)
-        overlap -= np.maximum(top_p[i], top_g)
-        inter[i] = np.clip(overlap, 0.0, None, out=overlap).sum(axis=1)
+    intervals of :func:`_planes`; ``-inf`` where the labels differ. Only the
+    same-label blocks are scored: ceiling with ceiling, floor with floor and
+    wall with wall."""
+    (top_p, bot_p), (top_g, bot_g) = planes_p, planes_g
     area_p = np.clip(bot_p - top_p, 0.0, None).sum(axis=1)
     area_g = np.clip(bot_g - top_g, 0.0, None).sum(axis=1)
-    union = area_p[:, None] + area_g[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ious = np.where(union > 0, inter / union, 0.0)
-    return np.where(labels_p[:, None] == labels_g[None, :], ious, -np.inf)
+    ious = np.full((len(top_p), len(top_g)), -np.inf)
+    for i in range(len(top_p)):  # a row at a time: temporaries stay (truth planes, width)
+        same = slice(i, i + 1) if i < 2 else slice(2, None)
+        overlap = np.minimum(bot_p[i], bot_g[same])
+        overlap -= np.maximum(top_p[i], top_g[same])
+        inter = np.clip(overlap, 0.0, None, out=overlap).sum(axis=1)
+        union = area_p[i] + area_g[same] - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ious[i, same] = np.where(union > 0, inter / union, 0.0)
+    return ious
 
 
-def _plane_f(pred, gt, bounds_p, bounds_g, grid: ImageGrid, iou_threshold: float) -> float:
-    ious = _plane_ious(_planes(pred, bounds_p, grid), _planes(gt, bounds_g, grid))
+def _plane_f(pred, gt, rows_p, rows_g, grid: ImageGrid, iou_threshold: float) -> float:
+    ious = _plane_ious(_planes(pred, rows_p, grid), _planes(gt, rows_g, grid))
     # greedy one-to-one by descending IoU, ties in (pred, truth) order; the
     # next float below -t as the distance bound keeps the match at IoU > t
     matched = _greedy_match(-ious, np.nextafter(-iou_threshold, -np.inf))
@@ -490,8 +511,8 @@ def plane_f(
     one-to-one.
     """
     grid = grid or pred_layout.grid
-    bounds = (_boundaries_of(pred_layout, grid), _boundaries_of(gt_layout, grid))
-    return _plane_f(pred_layout, gt_layout, *bounds, grid, iou_threshold)
+    rows = [_rows(_boundaries_of(x, grid), grid) for x in (pred_layout, gt_layout)]
+    return _plane_f(pred_layout, gt_layout, *rows, grid, iou_threshold)
 
 
 def clip_to_visible(layout: VisibleLayout) -> VisibleLayout:
@@ -525,6 +546,7 @@ def evaluate_pair(
     iou2d, iou3d = _ious(pred, gt, pred.room_height, gt.room_height)
     bounds_p = synth.layout_boundaries(pred, grid)
     bounds_g = synth.layout_boundaries(gt, grid)
+    rows_p, rows_g = _rows(bounds_p, grid), _rows(bounds_g, grid)
     p_pts = corner_image_points(pred, grid)
     g_pts = corner_image_points(gt, grid)
     return MetricReport(
@@ -533,6 +555,6 @@ def evaluate_pair(
         corner_error=corner_error(p_pts, g_pts, grid),
         pixel_error=_column_pixel_error(bounds_p, bounds_g, grid),
         junction_f=junction_f(p_pts, g_pts, grid),
-        wireframe_f=_wireframe_f(bounds_p, bounds_g, p_pts, g_pts, grid, THRESHOLDS),
-        plane_f=_plane_f(pred, gt, bounds_p, bounds_g, grid, PLANE_IOU_THRESHOLD),
+        wireframe_f=_wireframe_f(rows_p, rows_g, p_pts, g_pts, grid.width, THRESHOLDS),
+        plane_f=_plane_f(pred, gt, rows_p, rows_g, grid, PLANE_IOU_THRESHOLD),
     )

@@ -15,6 +15,7 @@ wall slopes safely below the detection thresholds elsewhere).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ VIS_EPS = 1e-6
 
 def _min_edge_distance(point: np.ndarray, polygon: np.ndarray) -> float:
     a = polygon
-    e = np.roll(polygon, -1, axis=0) - a
+    e = np.concatenate([a[1:], a[:1]]) - a
     t = np.clip(((point - a) * e).sum(1) / (e * e).sum(1), 0.0, 1.0)
     closest = a + t[:, None] * e
     return float(np.sqrt(((point - closest) ** 2).sum(1)).min())
@@ -89,13 +90,12 @@ def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np
 
     Edge parameter t lives in the half-open [0, 1) so a ray through a shared
     vertex counts exactly one of the two incident edges. t values within one
-    part in 1e9 of an endpoint are snapped onto it first; otherwise a ray
-    passing exactly through a vertex can round to t slightly above 1 on the
-    incoming edge and slightly below 0 on the outgoing one and miss both.
+    part in 1e9 of an endpoint count as the endpoint; otherwise a ray passing
+    exactly through a vertex can round to t slightly above 1 on the incoming
+    edge and slightly below 0 on the outgoing one and miss both.
     """
     a = polygon
-    b = np.roll(polygon, -1, axis=0)
-    e = b - a
+    e = np.concatenate([a[1:], a[:1]]) - a
     w = a - origin
     dx, dy = dirs[:, 0][None, :], dirs[:, 1][None, :]
     ex, ey = e[:, 0][:, None], e[:, 1][:, None]
@@ -104,25 +104,38 @@ def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (wx * ey - wy * ex) / denom
         t = (wx * dy - wy * dx) / denom
-    t = np.where(np.abs(t) < 1e-9, 0.0, t)
-    t = np.where(np.abs(t - 1.0) < 1e-9, 1.0, t)
-    ok = (np.abs(denom) > 1e-12) & (t >= 0.0) & (t < 1.0) & (s > HIT_EPS)
+    ok = (np.abs(denom) > 1e-12) & ((t >= 0.0) | (np.abs(t) < 1e-9))
+    ok &= (t < 1.0) & ~(np.abs(t - 1.0) < 1e-9) & (s > HIT_EPS)
     return np.where(ok, s, np.inf)
 
 
-def _raycast(origin: np.ndarray, polygon: np.ndarray, lons) -> tuple[np.ndarray, np.ndarray]:
-    lons = np.atleast_1d(np.asarray(lons, dtype=float))
+@functools.lru_cache(maxsize=8)
+def _grid_rays(grid: ImageGrid) -> np.ndarray:
+    """Read-only (width, 2) unit ray directions of a grid's column centers,
+    as :func:`raycast` computes them from the columns' longitudes."""
+    lons = col_to_lon(np.arange(grid.width), grid)
     dirs = np.stack([np.cos(lons), np.sin(lons)], axis=1)
+    dirs.setflags(write=False)
+    return dirs
+
+
+def _raycast(
+    origin: np.ndarray, polygon: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, dist)``: :func:`_hit_params` and each ray's nearest hit."""
     s = _hit_params(origin, dirs, polygon)
     dist = s.min(axis=0)
     if not np.all(np.isfinite(dist)):
         raise GeometryError("a ray escaped the polygon; camera outside or degenerate")
-    return dist, s.argmin(axis=0)
+    return s, dist
 
 
 def raycast(room: SyntheticRoom, lons) -> tuple[np.ndarray, np.ndarray]:
     """Nearest wall distance and edge index for each longitude."""
-    return _raycast(room.camera_position, room.floor_polygon, lons)
+    lons = np.atleast_1d(np.asarray(lons, dtype=float))
+    dirs = np.stack([np.cos(lons), np.sin(lons)], axis=1)
+    s, dist = _raycast(room.camera_position, room.floor_polygon, dirs)
+    return dist, s.argmin(axis=0)
 
 
 @dataclass(frozen=True)
@@ -238,8 +251,7 @@ def render_signal(
     from .detect import BoundarySignal  # local import: detect depends on geometry
 
     grid = grid or ImageGrid()
-    lons = col_to_lon(np.arange(grid.width), grid)
-    dist, _ = raycast(room, lons)
+    _, dist = _raycast(room.camera_position, room.floor_polygon, _grid_rays(grid))
     above = room.room_height - room.camera_height
     y_c = np.arctan2(above, dist)
     y_f = -np.arctan2(room.camera_height, dist)
@@ -262,13 +274,13 @@ def layout_boundaries(layout: VisibleLayout, grid: ImageGrid | None = None):
     are in longitude order, so it winds once around the camera unless a gap
     between corners reaches half a turn; then a ray escapes and this raises
     ``GeometryError``. A room height not above the camera is an ``InputError``.
+    The grid's ray directions are computed once per grid and cached.
     """
     grid = grid or layout.grid
     h = layout.camera.camera_height
     if not h < layout.room_height:
         raise InputError(f"need camera_height < room_height, got {h}, {layout.room_height}")
-    lons = col_to_lon(np.arange(grid.width), grid)
-    dist, _ = _raycast(np.zeros(2), layout.floor_points(), lons)
+    _, dist = _raycast(np.zeros(2), layout.floor_points(), _grid_rays(grid))
     return np.arctan2(layout.room_height - h, dist), -np.arctan2(h, dist)
 
 
@@ -412,14 +424,15 @@ def _fixture_ok(room: SyntheticRoom, signal, truth: VisibleLayout, expected_pair
     windows = cyclic_column_distance(np.arange(w)[:, None], jump_cols[None, :], w) <= 2
     near_jump = windows.any(axis=1)
     for y in (signal.y_f, signal.y_c):
-        step = np.abs(np.roll(y, -1) - y)
+        step = np.abs(np.concatenate([y[1:], y[:1]]) - y)
         if step[~near_jump].size and step[~near_jump].max() > _MAX_SMOOTH_STEP:
             return False
         if expected_pairs and y is signal.y_f:
             for window in windows.T:
                 if step[window].max() < _MIN_JUMP_STEP:
                     return False
-    ratio = np.maximum(dist, np.roll(dist, -1)) / np.minimum(dist, np.roll(dist, -1))
+    dist_next = np.concatenate([dist[1:], dist[:1]])
+    ratio = np.maximum(dist, dist_next) / np.minimum(dist, dist_next)
     if ratio[~near_jump].size and ratio[~near_jump].max() > _MAX_SMOOTH_RATIO:
         return False
     for window in windows.T:

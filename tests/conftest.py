@@ -251,3 +251,112 @@ def pair_oracle():
     """The per-column pair references: ``.pair(signal, column, config)`` and
     ``.pairs(signal, columns, config)``."""
     return SimpleNamespace(pair=scalar_occlusion_pair, pairs=loop_occlusion_pairs)
+
+
+def roll_hit_params(origin, dirs, polygon):
+    """Reference for ``synth._hit_params``: the next vertex by ``np.roll``, and
+    t values within 1e-9 of 0 or 1 snapped onto the endpoint before the
+    half-open [0, 1) test."""
+    a = polygon
+    e = np.roll(polygon, -1, axis=0) - a
+    w = a - origin
+    dx, dy = dirs[:, 0][None, :], dirs[:, 1][None, :]
+    ex, ey = e[:, 0][:, None], e[:, 1][:, None]
+    wx, wy = w[:, 0][:, None], w[:, 1][:, None]
+    denom = dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (wx * ey - wy * ex) / denom
+        t = (wx * dy - wy * dx) / denom
+    t = np.where(np.abs(t) < 1e-9, 0.0, t)
+    t = np.where(np.abs(t - 1.0) < 1e-9, 1.0, t)
+    ok = (np.abs(denom) > 1e-12) & (t >= 0.0) & (t < 1.0) & (s > 1e-9)
+    return np.where(ok, s, np.inf)
+
+
+def modulo_seam_rows(rows, width, reach, pad):
+    """Reference for ``metrics._seam_rows``: every column's source found with
+    ``tc % width``."""
+    tc = np.arange(-pad, width + pad + 1.0)
+    c = tc % width
+    shift = tc - c
+    held = (shift == 0) | (shift == width) & (c <= reach) | (shift == -width) & (c >= width - reach)
+    return np.where(held, rows[:, c.astype(np.intp)], np.inf)
+
+
+def looped_planes(layout, rows, grid):
+    """Reference for ``metrics._planes``, one wall edge at a time over its
+    cyclic column range, with the plane labels: ``(labels, top, bottom)``."""
+    corners, edges = layout.corners, layout.wall_edges()
+    labels = np.array(["ceiling", "floor"] + ["wall"] * len(edges))
+    top = np.zeros((len(labels), grid.width))
+    bot = np.zeros((len(labels), grid.width))
+    top[0], bot[0] = -0.5, rows[0]
+    top[1], bot[1] = rows[1], grid.height - 0.5
+    for k, (i, j) in enumerate(edges, start=2):
+        c0, c1 = corners[i].column, corners[j].column
+        if c1 < c0:
+            c1 += grid.width
+        cols = np.arange(np.ceil(c0), np.ceil(c1)).astype(np.int64) % grid.width
+        top[k, cols] = rows[0, cols]
+        bot[k, cols] = rows[1, cols]
+    return labels, top, bot
+
+
+def full_plane_ious(planes_p, planes_g):
+    """Reference for ``metrics._plane_ious``: the IoU of every pred plane with
+    every truth plane, ``-inf`` set afterwards where the labels differ."""
+    (labels_p, top_p, bot_p), (labels_g, top_g, bot_g) = planes_p, planes_g
+    inter = np.empty((len(labels_p), len(labels_g)))
+    for i in range(len(labels_p)):
+        overlap = np.minimum(bot_p[i], bot_g)
+        overlap -= np.maximum(top_p[i], top_g)
+        inter[i] = np.clip(overlap, 0.0, None, out=overlap).sum(axis=1)
+    area_p = np.clip(bot_p - top_p, 0.0, None).sum(axis=1)
+    area_g = np.clip(bot_g - top_g, 0.0, None).sum(axis=1)
+    union = area_p[:, None] + area_g[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ious = np.where(union > 0, inter / union, 0.0)
+    return np.where(labels_p[:, None] == labels_g[None, :], ious, -np.inf)
+
+
+def per_threshold_junction_f(p, q, width, thresholds):
+    """Reference for ``junction_f`` on (N, 2) pixel points: one greedy
+    matching per threshold."""
+    if len(p) == 0 and len(q) == 0:
+        return 1.0
+    if len(p) == 0 or len(q) == 0:
+        return 0.0
+    du = np.abs(p[:, 0][:, None] - q[:, 0][None, :])
+    du = np.minimum(du, width - du)
+    dist = np.sqrt(du**2 + (p[:, 1][:, None] - q[:, 1][None, :]) ** 2)
+    scores = []
+    for t in thresholds:
+        order = np.argsort(dist, axis=None, kind="stable")
+        used_p, used_q, matched = set(), set(), 0
+        for k in order:
+            i, j = divmod(int(k), dist.shape[1])
+            if dist[i, j] > t:
+                break
+            if i not in used_p and j not in used_q:
+                used_p.add(i)
+                used_q.add(j)
+                matched += 1
+        precision, recall = matched / len(p), matched / len(q)
+        f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+        scores.append(f)
+    return float(np.mean(scores))
+
+
+@pytest.fixture(scope="session")
+def metric_oracle():
+    """The earlier forms of rewritten ray-cast and metric helpers:
+    ``.hit_params(origin, dirs, polygon)``, ``.seam_rows(rows, width, reach,
+    pad)``, ``.planes(layout, rows, grid)``, ``.plane_ious(planes_p,
+    planes_g)`` and ``.junction_f(p, q, width, thresholds)``."""
+    return SimpleNamespace(
+        hit_params=roll_hit_params,
+        seam_rows=modulo_seam_rows,
+        planes=looped_planes,
+        plane_ious=full_plane_ious,
+        junction_f=per_threshold_junction_f,
+    )

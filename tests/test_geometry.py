@@ -288,6 +288,12 @@ class TestPolygonHelpers:
         assert polygon_signed_area(sq) == pytest.approx(1.0)
         assert polygon_signed_area(sq[::-1]) == pytest.approx(-1.0)
 
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=12))
+    def test_signed_area_matches_roll_form(self, pts):
+        p = np.array(pts)
+        x, y = p[:, 0], p[:, 1]
+        assert polygon_signed_area(p) == 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
     def test_simple_polygon(self):
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         assert polygon_is_simple(sq)

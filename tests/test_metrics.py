@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from panolayout.metrics import (
     _nearest_distances,
     _plane_ious,
     _planes,
+    _rows,
+    _seam_rows,
     _wireframe,
     _wireframe_points,
 )
@@ -390,6 +393,39 @@ class TestJunctionF:
         assert scores == sorted(scores, reverse=True)
         assert scores == [1.0, 1.0, pytest.approx(2 / 3), pytest.approx(1 / 3), 0.0]
 
+    @pytest.mark.parametrize("thresholds", [(), (math.nan,), (5.0, -1.0), (math.inf,)])
+    def test_bad_thresholds_rejected(self, thresholds):
+        pts = np.array([[100.0, 200.0]])
+        with pytest.raises(InputError, match="non-empty, finite and >= 0"):
+            junction_f(pts, pts, GRID, thresholds=thresholds)
+
+    def test_non_finite_points_rejected(self):
+        pts = np.array([[100.0, 200.0]])
+        for bad in (np.array([[math.nan, 200.0]]), np.array([[100.0, math.inf]])):
+            with pytest.raises(InputError, match="finite"):
+                junction_f(bad, pts, GRID)
+            with pytest.raises(InputError, match="finite"):
+                corner_error(pts, bad, GRID)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8),
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8),
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, math.sqrt(2.0), math.sqrt(5.0), 7.5]),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_one_matching_equals_one_per_threshold(self, metric_oracle, p, q, thresholds):
+        # integer points on a 16-column panorama: many tied distances, and
+        # thresholds equal to distances such as 1, 2, sqrt(2) and sqrt(5)
+        grid = ImageGrid(16, 8)
+        p = np.array(p, dtype=float).reshape(-1, 2)
+        q = np.array(q, dtype=float).reshape(-1, 2)
+        want = metric_oracle.junction_f(p, q, grid.width, thresholds)
+        assert junction_f(p, q, grid, thresholds) == want
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7))
     def test_matches_brute_force_greedy(self, seed, np_, nq):
@@ -541,7 +577,7 @@ class TestWireframeF:
         for layout in (pred, truth):
             bounds = layout_boundaries(layout, GRID)
             pts = corner_image_points(layout, GRID) if verticals else None
-            wire = _wireframe(bounds, pts, GRID)
+            wire = _wireframe(_rows(bounds, GRID), pts)
             want = tree_chamfer.points(layout, bounds, GRID, verticals)
             assert np.array_equal(np.stack(_wireframe_points(wire), axis=1), want)
             wires.append((wire, want))
@@ -571,6 +607,37 @@ class TestWireframeF:
         _, truth = render_signal(make_fixture("square", 0))
         with pytest.raises(InputError, match="finite"):
             wireframe_f(truth, truth, thresholds=(5.0, math.inf))
+
+    @pytest.mark.parametrize("thresholds", [(), (math.nan,), (5.0, -1.0), (-math.inf,)])
+    def test_bad_thresholds_rejected(self, thresholds):
+        _, truth = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="non-empty, finite and >= 0"):
+            wireframe_f(truth, truth, thresholds=thresholds)
+
+    def test_zero_threshold_counts_exact_points(self):
+        _, truth = render_signal(make_fixture("square", 0))
+        assert wireframe_f(truth, truth, thresholds=(0.0,)) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 36),
+        st.one_of(
+            st.floats(-3.0, 40.0),
+            st.integers(-2, 40).map(float),
+            st.integers(1, 40).map(lambda k: k - 2.0**-50),
+            st.integers(0, 40).map(lambda k: k + 2.0**-50),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_seam_rows_match_modulo_form(self, metric_oracle, width, pad, reach, seed):
+        # pad runs from 0 to 3 widths, so a column can lie more than a width
+        # beyond either edge; reaches just off an integer test the float
+        # comparisons against ``c`` and ``width - reach``
+        assume(pad <= 3 * width)
+        rows = np.random.default_rng(seed).uniform(0, 512, (2, width))
+        got = _seam_rows(rows, width, reach, pad)
+        assert np.array_equal(got, metric_oracle.seam_rows(rows, width, reach, pad))
 
     def test_signals_need_verticals_off(self):
         signal, truth = render_signal(make_fixture("square", 0))
@@ -667,13 +734,55 @@ class TestPlaneF:
         st.integers(0, 19),
         st.sampled_from([0.0, 0.002, 0.005, 0.01]),
     )
-    def test_matches_per_pair_loop(self, corpus, family, seed, sigma):
+    def test_matches_per_pair_loop(self, corpus, metric_oracle, family, seed, sigma):
         _, signal, truth = corpus[(family, seed)]
         pred = postprocess(perturb_signal(signal, sigma, seed=seed) if sigma else signal)
-        planes = [_planes(x, layout_boundaries(x, GRID), GRID) for x in (pred, truth)]
-        ious, f = per_pair_plane_f(*planes)
+        rows = [_rows(layout_boundaries(x, GRID), GRID) for x in (pred, truth)]
+        labelled = [metric_oracle.planes(x, r, GRID) for x, r in zip((pred, truth), rows)]
+        ious, f = per_pair_plane_f(*labelled)
+        planes = [_planes(x, r, GRID) for x, r in zip((pred, truth), rows)]
+        for (top, bot), (_, top_want, bot_want) in zip(planes, labelled):
+            assert np.array_equal(top, top_want) and np.array_equal(bot, bot_want)
         assert np.array_equal(_plane_ious(*planes), ious)
+        assert np.array_equal(metric_oracle.plane_ious(*labelled), ious)
         assert plane_f(pred, truth, GRID) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([4, 8, 16, 32]),
+        st.lists(
+            st.one_of(
+                st.integers(0, 31).map(float),
+                st.floats(0.0, 32.0, exclude_max=True),
+                st.sampled_from([1e-17, 2.0**-60, 0.5, 31.999999999999996]),
+                st.integers(1, 31).map(lambda k: float(np.nextafter(k, 0.0))),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_planes_and_ious_match_looped_full_matrix(
+        self, metric_oracle, width, columns, edges, seed
+    ):
+        # arbitrary wall edges over arbitrary corner columns: edges that cross
+        # the seam, that start or end exactly on an integer column, that are
+        # empty, and whose end plus the width rounds onto an integer
+        grid = ImageGrid(width, width // 2)
+        corners = [SimpleNamespace(column=c % width) for c in columns]
+        edges = [(i % len(corners), j % len(corners)) for i, j in edges]
+        layout = SimpleNamespace(corners=corners, wall_edges=lambda: edges)
+        rng = np.random.default_rng(seed)
+        # coarse rows: overlaps, ties and zero-area planes are common
+        rows = np.sort(rng.integers(0, grid.height, (2, width)).astype(float), axis=0)
+        labelled = metric_oracle.planes(layout, rows, grid)
+        top, bot = _planes(layout, rows, grid)
+        assert np.array_equal(top, labelled[1]) and np.array_equal(bot, labelled[2])
+        other = metric_oracle.planes(layout, rows[::-1].copy(), grid)
+        for a, b in ((labelled, other), (other, labelled), (labelled, labelled)):
+            want = metric_oracle.plane_ious(a, b)
+            assert np.array_equal(_plane_ious(a[1:], b[1:]), want)
 
 
 class TestEvaluatePair:

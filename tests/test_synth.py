@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panolayout import (
     BoundarySignal,
@@ -27,7 +29,7 @@ from panolayout import (
     truth_layout,
 )
 from panolayout.panorama import cyclic_column_distance
-from panolayout.synth import FIXTURE_FAMILIES, make_fixture
+from panolayout.synth import FIXTURE_FAMILIES, _grid_rays, _hit_params, make_fixture
 
 GRID = ImageGrid()
 
@@ -100,6 +102,50 @@ class TestRaycast:
         object.__setattr__(bad, "camera_height", 1.6)
         with pytest.raises(GeometryError):
             raycast(bad, [math.pi / 2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=12),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        st.integers(0, 11),
+        st.sampled_from([0.0, 1e-9, -1e-9, 5e-324, -5e-324, 1.0, 1 - 1e-9, 1 + 1e-9, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_hit_params_match_snapped_roll_form(self, metric_oracle, poly, origin, k, t, seed):
+        # integer polygons of 3-12 vertices, possibly repeated or collinear;
+        # rays exactly through every vertex, parallel to every edge, through
+        # the point at parameter t of edge k (t near 0, 1 and +-1e-9), and at
+        # random
+        poly = np.array(poly, dtype=float) / 2.0
+        origin = np.array(origin, dtype=float) / 3.0
+        nxt = np.roll(poly, -1, axis=0)
+        a, b = poly[k % len(poly)], nxt[k % len(poly)]
+        random_dirs = np.random.default_rng(seed).normal(size=(8, 2))
+        dirs = np.vstack([poly - origin, nxt - poly, [a + t * (b - a) - origin], random_dirs])
+        got = _hit_params(origin, dirs, poly)
+        assert np.array_equal(got, metric_oracle.hit_params(origin, dirs, poly))
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 5e-324, -5e-324, 1e-9, -1e-9, np.nextafter(1e-9, 0.0), np.nextafter(1e-9, 1.0),
+         -np.nextafter(1e-9, 0.0), -np.nextafter(1e-9, 1.0), -1.0, -1.0 + 2.0**-52,
+         -1.0 - 2.0**-52, -(1.0 - 1e-9), -(1.0 + 1e-9)],
+    )
+    def test_hit_params_at_exact_edge_parameters(self, metric_oracle, x):
+        # the ray straight up from the origin meets the edge (x, 1) -> (x + 1, 1)
+        # at edge parameter exactly t = -x: on and one ulp either side of +-1e-9
+        poly = np.array([[x, 1.0], [x + 1.0, 1.0], [x + 1.0, 2.0]])
+        origin, dirs = np.zeros(2), np.array([[0.0, 1.0], [1.0, 1.0]])
+        got = _hit_params(origin, dirs, poly)
+        assert np.array_equal(got, metric_oracle.hit_params(origin, dirs, poly))
+
+    def test_grid_rays_cached_read_only(self):
+        grid = ImageGrid(64, 32)
+        dirs = _grid_rays(grid)
+        assert _grid_rays(ImageGrid(64, 32)) is dirs
+        assert not dirs.flags.writeable
+        lons = col_to_lon(np.arange(64), grid)
+        assert np.array_equal(dirs, np.stack([np.cos(lons), np.sin(lons)], axis=1))
 
 
 class TestLayoutBoundaries:
