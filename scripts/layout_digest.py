@@ -1,19 +1,19 @@
 """One pass over a fixed corpus: a digest of every pipeline output and a quality table.
 
 For each fixture room, noise level and post-processing mode, records the
-layout's corners, room height and occlusion pairs and its evaluate_pair rows
-in both regimes, or the class of the error that stopped it, and hashes the
-records in order. A change meant to leave every output bit-identical must
-print the same digest before and after. The default corpus is 240 rooms
-(fixture seeds 0-19 and 1000-1019 per family) at four noise levels in three
-modes: 2880 runs. Noise seeds are the fixture seeds. With --expect, a digest
+layout's corners, room height and occlusion pairs and its evaluate_pair row,
+or the class of the error that stopped it, and hashes the records in order.
+A change meant to leave every output bit-identical must print the same
+digest before and after. The default corpus is 240 rooms (fixture seeds
+0-19 and 1000-1019 per family) at four noise levels in three modes: 2880
+runs. Noise seeds are the fixture seeds. With --expect, a digest
 other than the given one is reported with both digests and exit status 1.
 
 From the same runs it prints one row per (noise level, mode): ok runs and
 failures by error class; mean and worst 2D IoU, mean corner error and mean
-junction F of the ok runs (non-visible regime); and the shares of runs whose
-corner count (exact_n) and occlusion pair count (pair_acc) equal the
-truth's, where a failed run counts as a miss. Under each noise level, one
+junction F of the ok runs; and the shares of runs whose corner count
+(exact_n) and occlusion pair count (pair_acc) equal the truth's, where a
+failed run counts as a miss. Under each noise level, one
 line gives the ensemble's junction F minus the best single source's.
 
 Usage:
@@ -36,6 +36,7 @@ import numpy as np
 from panolayout import (
     FIXTURE_FAMILIES,
     MODES,
+    MetricReport,
     RoomLayoutError,
     evaluate_pair,
     make_fixture,
@@ -43,7 +44,6 @@ from panolayout import (
     postprocess,
     render_signal,
 )
-from panolayout.metrics import REGIMES, MetricReport
 
 SEEDS = [*range(20), *range(1000, 1020)]
 SIGMAS = [0.0, 0.002, 0.005, 0.01]
@@ -53,7 +53,7 @@ SIGMAS = [0.0, 0.002, 0.005, 0.01]
 class Cell:
     """The runs of one (noise level, mode): outcomes ("ok" or error class)
     and, per ok run, (2D IoU, corner error, junction F, corner count exact,
-    pair count exact), the metrics from the non-visible row."""
+    pair count exact)."""
 
     outcomes: Counter = field(default_factory=Counter)
     runs: list = field(default_factory=list)
@@ -62,12 +62,12 @@ class Cell:
 def _record(signal, truth, mode):
     try:
         pred = postprocess(signal, mode=mode)
-        rows = [[float(v) for v in evaluate_pair(pred, truth, regime=r).as_row()] for r in REGIMES]
+        row = [float(v) for v in evaluate_pair(pred, truth).as_row()]
     except RoomLayoutError as exc:
         return type(exc).__name__, None
     corners = [(float(c.column), float(c.ceil_lat), float(c.floor_lat), c.kind.value)
                for c in pred.corners]
-    return "ok", (corners, float(pred.room_height), pred.occlusion_pairs(), rows)
+    return "ok", (corners, float(pred.room_height), pred.occlusion_pairs(), row)
 
 
 def digest(families=FIXTURE_FAMILIES, seeds=SEEDS, sigmas=SIGMAS, modes=MODES):
@@ -86,8 +86,8 @@ def digest(families=FIXTURE_FAMILIES, seeds=SEEDS, sigmas=SIGMAS, modes=MODES):
                     cell = table[sigma, mode]
                     cell.outcomes[outcome] += 1
                     if result is not None:
-                        corners, _, pairs, rows = result
-                        m = MetricReport(*rows[REGIMES.index("non_visible")])
+                        corners, _, pairs, row = result
+                        m = MetricReport(*row)
                         cell.runs.append((m.iou2d, m.corner_error, m.junction_f,
                                           len(corners) == n_corners, len(pairs) == n_pairs))
     return h.hexdigest(), dict(table)
