@@ -31,14 +31,14 @@ from .fileio import (
     parse_signal_file,
 )
 from .geometry import CameraModel
-from .metrics import REGIMES, evaluate_pair
+from .metrics import evaluate_pair
 from .synth import FIXTURE_FAMILIES, _rendered_fixture, perturb_signal
 
 CONFIG_ENV = "PANOLAYOUT_CONFIG"
 
 _CAMERA_KEYS = tuple(f.name for f in dataclasses.fields(CameraModel))
 _DETECT_KEYS = tuple(f.name for f in dataclasses.fields(DetectConfig))
-CONFIG_KEYS = ("mode", "regime", *_CAMERA_KEYS, *_DETECT_KEYS)
+CONFIG_KEYS = ("mode", *_CAMERA_KEYS, *_DETECT_KEYS)
 
 
 class UsageError(Exception):
@@ -50,15 +50,12 @@ class RunConfig:
     """Run-wide settings, each checked by the type that uses it."""
 
     mode: str = "ensemble"
-    regime: str = "non_visible"
     camera: CameraModel = field(default_factory=CameraModel)
     detect: DetectConfig = field(default_factory=DetectConfig)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.regime not in REGIMES:
-            raise UsageError(f"regime must be one of {REGIMES}, got {self.regime!r}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -86,7 +83,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     pick = lambda keys: {k: given[k] for k in keys if k in given}
     try:
         return RunConfig(
-            **pick(("mode", "regime")),
+            **pick(("mode",)),
             camera=CameraModel(**pick(_CAMERA_KEYS)),
             detect=DetectConfig(**pick(_DETECT_KEYS)),
         )
@@ -142,7 +139,9 @@ def cmd_postprocess(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args.config, {"regime": args.regime})
+    # one config file serves both commands: evaluate reads none of its
+    # settings, but a bad file still stops the run before any work
+    load_run_config(args.config, {})
     pred_files = _gather(Path(args.pred), ".layout.json")
     gt_files = _gather(Path(args.gt), ".layout.json")
     stem = lambda p: p.name[: -len(".layout.json")]
@@ -161,7 +160,7 @@ def cmd_evaluate(args) -> int:
         try:
             pred = parse_layout_json(preds[name].read_bytes())
             gt = parse_layout_json(gts[name].read_bytes())
-            rep = evaluate_pair(pred, gt, regime=cfg.regime)
+            rep = evaluate_pair(pred, gt)
         except (RoomLayoutError, OSError) as e:
             print(f"{name}: {e}", file=sys.stderr)
             failures += 1
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="directory of predicted .layout.json")
     p.add_argument("--gt", required=True, help="directory of ground-truth .layout.json")
     p.add_argument("--out", default=None, help="also write a csv report here")
-    p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
 

@@ -39,8 +39,6 @@ THRESHOLDS = (5.0, 10.0, 20.0)
 
 PLANE_IOU_THRESHOLD = 0.5  # a plane pair matches at mask IoU strictly above this
 
-REGIMES = ("non_visible", "visible")
-
 CEILING, WALL, FLOOR = 0, 1, 2
 
 _WINDOW_BLOCK = 256  # source points per block of the chamfer's column-window search
@@ -161,6 +159,12 @@ def _as_corner_points(x, grid: ImageGrid) -> np.ndarray:
     return pts
 
 
+def _check_same_grid(a, b) -> None:
+    # a layout's corner columns and rows are read on its own grid
+    if isinstance(a, VisibleLayout) and isinstance(b, VisibleLayout) and a.grid != b.grid:
+        raise InputError(f"layouts are on different grids: {a.grid} and {b.grid}")
+
+
 def corner_error(
     pred_corners,
     gt_corners,
@@ -174,6 +178,7 @@ def corner_error(
     ``unmatched_penalty`` of the diagonal, keeping the score defined and
     monotone under spurious corners.
     """
+    _check_same_grid(pred_corners, gt_corners)
     grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
     p = _as_corner_points(pred_corners, grid)
     q = _as_corner_points(gt_corners, grid)
@@ -234,6 +239,7 @@ def junction_f(
     the greedy matching at the largest one, so that one matching serves all.
     """
     _check_thresholds(thresholds)
+    _check_same_grid(pred_corners, gt_corners)
     grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
     p = _as_corner_points(pred_corners, grid)
     q = _as_corner_points(gt_corners, grid)
@@ -441,6 +447,7 @@ def wireframe_f(
         isinstance(pred_layout, VisibleLayout) and isinstance(gt_layout, VisibleLayout)
     ):
         raise InputError("wireframe verticals need two layouts; pass include_verticals=False")
+    _check_same_grid(pred_layout, gt_layout)
     grid = grid or pred_layout.grid
     rows = [_rows(_boundaries_of(x, grid), grid) for x in (pred_layout, gt_layout)]
     pts = (None, None)
@@ -510,39 +517,23 @@ def plane_f(
     occlusion edges contribute no plane. Matching is greedy by descending IoU,
     one-to-one.
     """
+    _check_same_grid(pred_layout, gt_layout)
     grid = grid or pred_layout.grid
     rows = [_rows(_boundaries_of(x, grid), grid) for x in (pred_layout, gt_layout)]
     return _plane_f(pred_layout, gt_layout, *rows, grid, iou_threshold)
 
 
-def clip_to_visible(layout: VisibleLayout) -> VisibleLayout:
-    """Restrict a full layout to what its own camera sees.
-
-    Layouts that already carry occlusion pairs are returned unchanged; a full
-    polygon is re-rendered from the origin so hidden notches collapse into
-    near/far pairs, which is the visible evaluation regime's ground truth.
-    """
-    if layout.occlusion_pairs():
-        return layout
-    room = synth.SyntheticRoom(
-        layout.floor_points(), layout.room_height, np.zeros(2), layout.camera.camera_height
-    )
-    return synth.truth_layout(room, layout.grid)
-
-
 def evaluate_pair(
-    pred: VisibleLayout,
-    gt: VisibleLayout,
-    grid: ImageGrid | None = None,
-    regime: str = "non_visible",
+    pred: VisibleLayout, gt: VisibleLayout, *, regime: str = "non_visible"
 ) -> MetricReport:
-    """All metrics for one prediction/ground-truth pair; each layout's boundary
-    curves are rendered once, for the pixel, wireframe and plane scores."""
-    if regime not in REGIMES:
-        raise InputError(f"regime must be one of {REGIMES}, got {regime!r}")
-    grid = grid or pred.grid
-    if regime == "visible":
-        gt = clip_to_visible(gt)
+    """All metrics for one prediction/ground-truth pair on the grid they share;
+    each layout's boundary curves are rendered once, for the pixel, wireframe
+    and plane scores. ``regime`` stays for callers that pass it and accepts
+    only ``"non_visible"``."""
+    if regime != "non_visible":
+        raise InputError(f"the visible regime was removed; got regime {regime!r}")
+    _check_same_grid(pred, gt)
+    grid = pred.grid
     iou2d, iou3d = _ious(pred, gt, pred.room_height, gt.room_height)
     bounds_p = synth.layout_boundaries(pred, grid)
     bounds_g = synth.layout_boundaries(gt, grid)

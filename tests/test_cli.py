@@ -13,6 +13,7 @@ import pytest
 from panolayout import (
     CameraModel,
     DetectConfig,
+    ImageGrid,
     emit_layout_json,
     emit_ply,
     emit_signal_file,
@@ -215,6 +216,19 @@ class TestEvaluate:
         assert code == 2
         assert "square_0000: only the ground truth side exists, skipped" in err
         assert "square_0002: only the prediction side exists, skipped" in err
+
+    def test_pair_on_different_grids_skipped_with_status_2(self, tmp_path, run):
+        write_corpus(tmp_path / "gt", families=("square",), seeds=(0, 1))
+        write_corpus(tmp_path / "pred", families=("square",), seeds=(0,))
+        _, small = render_signal(make_fixture("square", 1), ImageGrid(512, 256))
+        (tmp_path / "pred" / "square_0001.layout.json").write_text(emit_layout_json(small))
+        code, out, err = run(
+            "evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")
+        )
+        assert code == 2
+        assert err.startswith("square_0001: layouts are on different grids")
+        assert err.count("\n") == 1
+        assert "square_0000" in out and "square_0001" not in out
 
     def test_no_shared_stems_is_usage_error(self, tmp_path, run):
         write_corpus(tmp_path / "gt", families=("square",), seeds=(0,))
@@ -488,6 +502,7 @@ BAD_SETTINGS = [
     ("camera_height", "tall"),
     ("mode", "bogus"),
     ("regime", "bogus"),
+    ("regime", "non_visible"),  # the key was removed with the visible regime
 ]
 
 
@@ -508,7 +523,6 @@ class TestSettings:
     def test_config_keys_are_the_library_fields(self):
         assert CONFIG_KEYS == (
             "mode",
-            "regime",
             "camera_height",
             "peak_threshold",
             "peak_min_separation",
@@ -538,7 +552,7 @@ class TestSettings:
             ("postprocess", "--camera-height", "-1"),
             ("postprocess", "--camera-height", "inf"),
             ("postprocess", "--mode", "bogus"),
-            ("evaluate", "--regime", "bogus"),
+            ("evaluate", "--regime", "bogus"),  # the flag was removed
         ],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, run, command, flag, value):
@@ -579,7 +593,7 @@ class TestSettings:
         write_corpus(tmp_path / "in", families=("square", "l_room", "t_room"), seeds=(0,))
         cfg = tmp_path / "cfg.json"
         defaults = dataclasses.asdict(DetectConfig())
-        defaults.update(mode="ensemble", regime="non_visible", camera_height=1.6)
+        defaults.update(mode="ensemble", camera_height=1.6)
         assert set(defaults) == set(CONFIG_KEYS)
         cfg.write_text(json.dumps(defaults))
         for name, extra in (("plain", ()), ("cfg", ("--config", str(cfg)))):

@@ -20,7 +20,6 @@ from panolayout import (
     FIXTURE_FAMILIES,
     SyntheticRoom,
     VisibleLayout,
-    clip_to_visible,
     corner_error,
     corner_image_points,
     evaluate_pair,
@@ -810,34 +809,29 @@ class TestEvaluatePair:
         for v in evaluate_pair(pred, truth).as_row():
             assert 0.0 <= v <= 1.0
 
-    def test_regimes_agree_on_star_shaped_truth(self):
-        pred, truth = l_room_round_trip()
-        a = evaluate_pair(pred, truth, regime="visible")
-        b = evaluate_pair(pred, truth, regime="non_visible")
-        assert a == b
-
     def test_unknown_regime_rejected(self):
         pred, truth = l_room_round_trip()
-        with pytest.raises(InputError):
-            evaluate_pair(pred, truth, regime="both")
+        assert evaluate_pair(pred, truth, regime="non_visible") == evaluate_pair(pred, truth)
+        for regime in ("both", "visible"):
+            with pytest.raises(InputError, match="visible regime was removed"):
+                evaluate_pair(pred, truth, regime=regime)
+
+    @pytest.mark.parametrize(
+        "metric", [evaluate_pair, plane_f, wireframe_f, junction_f, corner_error]
+    )
+    def test_layouts_on_different_grids_rejected(self, metric):
+        # corner columns are read on each layout's own grid, so no shared grid exists
+        room = make_fixture("l_room", 0)
+        _, full = render_signal(room)
+        _, half = render_signal(room, ImageGrid(512, 256))
+        for pred, gt in ((full, half), (half, full)):
+            with pytest.raises(InputError, match="different grids"):
+                metric(pred, gt)
+        metric(half, half)
 
     def test_as_row_field_order(self):
         r = MetricReport(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
         assert r.as_row() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-
-
-class TestClipToVisible:
-    def test_layout_with_pairs_unchanged(self):
-        _, truth = render_signal(make_fixture("t_room", 1))
-        assert clip_to_visible(truth) is truth
-
-    def test_star_shaped_layout_survives(self):
-        _, truth = render_signal(make_fixture("pentagon", 3))
-        clipped = clip_to_visible(truth)
-        assert len(clipped.corners) == len(truth.corners)
-        got = sorted(c.column for c in clipped.corners)
-        want = sorted(c.column for c in truth.corners)
-        np.testing.assert_allclose(got, want, atol=1e-6)
 
 
 class TestCornerImagePoints:
