@@ -79,6 +79,11 @@ class BoundarySignal:
     def width(self) -> int:
         return len(self.y_p)
 
+    @property
+    def grid(self) -> ImageGrid:
+        """The full 2:1 panorama grid of the signal's width."""
+        return ImageGrid(self.width, self.width // 2)
+
     def shifted(self, s: int) -> "BoundarySignal":
         """Signal rotated by ``s`` columns (column i of the result is column i-s)."""
         return BoundarySignal(
@@ -508,5 +513,4 @@ def postprocess(
         raise ReconstructionError(
             f"signal yields {len(corners)} corners; a closed layout needs >= 3"
         )
-    grid = ImageGrid(w, w // 2)
-    return assemble_layout(corners, signal, cam, grid)
+    return assemble_layout(corners, signal, cam)

@@ -446,7 +446,7 @@ def emit_report(named_reports, fmt: str = "table") -> str:
 # --- annotation interchange ---
 
 
-def convert_structured3d(data, grid: ImageGrid | None = None) -> str:
+def convert_structured3d(data) -> str:
     """Map a panorama layout annotation document to corner txt.
 
     Assumed variant: a JSON object with a "junctions" list of 2D pixel

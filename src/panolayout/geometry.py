@@ -296,17 +296,16 @@ def assemble_layout(
     corners: Sequence[LayoutCorner],
     signal: "BoundarySignal",
     cam: CameraModel,
-    grid: ImageGrid | None = None,
 ) -> VisibleLayout:
     """Close a corner sequence into a visible layout.
 
     The corners are sorted by column; the sort is stable, so the two corners
     of an occlusion pair, which share a column, keep their given boundary
-    order. Room height is estimated from the signal. A self-intersecting
-    floor polygon, or an occlusion corner without an adjacent partner of the
-    opposite kind in its column, is an assembly error.
+    order. Room height is estimated from the signal, and the layout lies on
+    the signal's grid. A self-intersecting floor polygon, or an occlusion
+    corner without an adjacent partner of the opposite kind in its column,
+    is an assembly error.
     """
-    grid = grid or ImageGrid(signal.width, signal.width // 2)
     room_height = estimate_room_height(signal, cam)
     ordered = sorted(corners, key=lambda c: c.column)
-    return VisibleLayout(ordered, cam, room_height, grid)
+    return VisibleLayout(ordered, cam, room_height, signal.grid)

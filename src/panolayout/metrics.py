@@ -31,6 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import synth
+from .detect import BoundarySignal
 from .errors import InputError, MetricError
 from .geometry import VisibleLayout, polygon_signed_area
 from .panorama import ImageGrid, lat_to_row, row_to_lat
@@ -38,6 +39,8 @@ from .panorama import ImageGrid, lat_to_row, row_to_lat
 THRESHOLDS = (5.0, 10.0, 20.0)
 
 PLANE_IOU_THRESHOLD = 0.5  # a plane pair matches at mask IoU strictly above this
+
+UNMATCHED_PENALTY = 0.1  # corner_error's charge per unmatched corner, in image diagonals
 
 CEILING, WALL, FLOOR = 0, 1, 2
 
@@ -150,45 +153,47 @@ def _pixel_distances(p: np.ndarray, q: np.ndarray, width: float | None) -> np.nd
     return np.sqrt(du**2 + dv**2)
 
 
-def _as_corner_points(x, grid: ImageGrid) -> np.ndarray:
+def _grid_of(a, b, grid: ImageGrid | None = None) -> ImageGrid:
+    """The one grid of two metric inputs. A layout or a signal brings its own
+    grid; ``grid``, which bare point arrays need, must agree with it. Bare
+    points without ``grid`` are on the default :class:`ImageGrid`."""
+    own = [x.grid for x in (a, b) if isinstance(x, (VisibleLayout, BoundarySignal))]
+    if len(own) == 2 and own[0] != own[1]:
+        kind = "layouts" if all(isinstance(x, VisibleLayout) for x in (a, b)) else "inputs"
+        raise InputError(f"{kind} are on different grids: {own[0]} and {own[1]}")
+    if grid is not None and own and grid != own[0]:
+        raise InputError(f"grid {grid} is not the inputs' own grid {own[0]}")
+    return grid or (own[0] if own else ImageGrid())
+
+
+def _as_corner_points(x) -> np.ndarray:
     if isinstance(x, VisibleLayout):
-        return corner_image_points(x, grid)
+        return corner_image_points(x)
     pts = np.asarray(x, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise InputError("corner points must be finite")
     return pts
 
 
-def _check_same_grid(a, b) -> None:
-    # a layout's corner columns and rows are read on its own grid
-    if isinstance(a, VisibleLayout) and isinstance(b, VisibleLayout) and a.grid != b.grid:
-        raise InputError(f"layouts are on different grids: {a.grid} and {b.grid}")
-
-
-def corner_error(
-    pred_corners,
-    gt_corners,
-    grid: ImageGrid | None = None,
-    unmatched_penalty: float = 0.1,
-) -> float:
+def corner_error(pred_corners, gt_corners, grid: ImageGrid | None = None) -> float:
     """Mean matched corner distance as a fraction of the image diagonal.
 
-    Accepts layouts or (N, 2) pixel point arrays. One-to-one Hungarian
-    matching; every unmatched corner on either side is charged
-    ``unmatched_penalty`` of the diagonal, keeping the score defined and
-    monotone under spurious corners.
+    Accepts layouts or (N, 2) pixel point arrays; ``grid`` places bare points
+    and must be the grid of any layout given. One-to-one Hungarian matching;
+    every unmatched corner on either side is charged ``UNMATCHED_PENALTY``
+    of the diagonal, keeping the score defined and monotone under spurious
+    corners.
     """
-    _check_same_grid(pred_corners, gt_corners)
-    grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
-    p = _as_corner_points(pred_corners, grid)
-    q = _as_corner_points(gt_corners, grid)
+    grid = _grid_of(pred_corners, gt_corners, grid)
+    p = _as_corner_points(pred_corners)
+    q = _as_corner_points(gt_corners)
     if len(p) == 0 or len(q) == 0:
         raise MetricError("corner sets must be non-empty")
     dist = _pixel_distances(p, q, grid.width)
     matched = dist[linear_sum_assignment(dist)]
     n_unmatched = (len(p) - len(matched)) + (len(q) - len(matched))
     diag = grid.diagonal
-    total = float(matched.sum()) + n_unmatched * unmatched_penalty * diag
+    total = float(matched.sum()) + n_unmatched * UNMATCHED_PENALTY * diag
     return total / (len(matched) + n_unmatched) / diag
 
 
@@ -234,15 +239,15 @@ def junction_f(
 ) -> float:
     """Corner-matching F-score averaged over the pixel thresholds.
 
-    Accepts layouts or (N, 2) pixel point arrays. Thresholds must be
-    non-empty, finite and >= 0. Greedy matching at a threshold is a prefix of
-    the greedy matching at the largest one, so that one matching serves all.
+    Accepts layouts or (N, 2) pixel point arrays; ``grid`` places bare points
+    and must be the grid of any layout given. Thresholds must be non-empty,
+    finite and >= 0. Greedy matching at a threshold is a prefix of the greedy
+    matching at the largest one, so that one matching serves all.
     """
     _check_thresholds(thresholds)
-    _check_same_grid(pred_corners, gt_corners)
-    grid = grid or (pred_corners.grid if isinstance(pred_corners, VisibleLayout) else ImageGrid())
-    p = _as_corner_points(pred_corners, grid)
-    q = _as_corner_points(gt_corners, grid)
+    grid = _grid_of(pred_corners, gt_corners, grid)
+    p = _as_corner_points(pred_corners)
+    q = _as_corner_points(gt_corners)
     if len(p) == 0 and len(q) == 0:
         return 1.0
     if len(p) == 0 or len(q) == 0:
@@ -252,23 +257,17 @@ def junction_f(
     return float(np.mean(scores))
 
 
-def _boundaries_of(x, grid: ImageGrid):
+def _boundaries_of(x):
     if isinstance(x, VisibleLayout):
-        return synth.layout_boundaries(x, grid)
-    y_c = np.asarray(x.y_c, dtype=float)
-    y_f = np.asarray(x.y_f, dtype=float)
-    if len(y_c) != grid.width:
-        raise InputError(f"signal width {len(y_c)} does not match grid width {grid.width}")
-    return y_c, y_f
+        return synth.layout_boundaries(x)
+    return x.y_c, x.y_f
 
 
-def render_semantic(layout_or_signal, grid: ImageGrid | None = None) -> np.ndarray:
-    """Per-pixel ceiling/wall/floor labels implied by the boundary curves."""
-    if grid is None:
-        grid = layout_or_signal.grid if isinstance(layout_or_signal, VisibleLayout) else ImageGrid(
-            layout_or_signal.width, layout_or_signal.width // 2
-        )
-    y_c, y_f = _boundaries_of(layout_or_signal, grid)
+def render_semantic(layout_or_signal) -> np.ndarray:
+    """Per-pixel ceiling/wall/floor labels implied by the boundary curves, on
+    the layout's or the signal's own grid."""
+    grid = layout_or_signal.grid
+    y_c, y_f = _boundaries_of(layout_or_signal)
     lats = row_to_lat(np.arange(grid.height), grid)
     mask = np.full((grid.height, grid.width), WALL, dtype=np.int8)
     mask[lats[:, None] > y_c[None, :]] = CEILING
@@ -301,13 +300,13 @@ def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
     return wrong / (grid.width * grid.height)
 
 
-def corner_image_points(layout: VisibleLayout, grid: ImageGrid | None = None) -> np.ndarray:
-    """(2N, 2) pixel positions of every corner's ceiling and floor junction."""
-    grid = grid or layout.grid
+def corner_image_points(layout: VisibleLayout) -> np.ndarray:
+    """(2N, 2) pixel positions of every corner's ceiling and floor junction
+    on the layout's grid."""
     corners = layout.corners
     cols = np.repeat(np.array([c.column for c in corners], dtype=float), 2)
     lats = np.array([(c.ceil_lat, c.floor_lat) for c in corners], dtype=float).ravel()
-    return np.stack([cols, lat_to_row(lats, grid)], axis=1)
+    return np.stack([cols, lat_to_row(lats, layout.grid)], axis=1)
 
 
 def _rows(bounds, grid: ImageGrid) -> np.ndarray:
@@ -440,19 +439,19 @@ def wireframe_f(
     The wireframe is both boundary curves plus (by default) the vertical
     junction segment at every corner column. Thresholds must be non-empty,
     finite and >= 0. Boundary signals are accepted without verticals only,
-    since verticals are drawn at a layout's corners.
+    since verticals are drawn at a layout's corners. ``grid``, if given, must
+    be the grid of both inputs.
     """
     _check_thresholds(thresholds)
     if include_verticals and not (
         isinstance(pred_layout, VisibleLayout) and isinstance(gt_layout, VisibleLayout)
     ):
         raise InputError("wireframe verticals need two layouts; pass include_verticals=False")
-    _check_same_grid(pred_layout, gt_layout)
-    grid = grid or pred_layout.grid
-    rows = [_rows(_boundaries_of(x, grid), grid) for x in (pred_layout, gt_layout)]
+    grid = _grid_of(pred_layout, gt_layout, grid)
+    rows = [_rows(_boundaries_of(x), grid) for x in (pred_layout, gt_layout)]
     pts = (None, None)
     if include_verticals:
-        pts = (corner_image_points(pred_layout, grid), corner_image_points(gt_layout, grid))
+        pts = (corner_image_points(pred_layout), corner_image_points(gt_layout))
     return _wireframe_f(*rows, *pts, grid.width, thresholds)
 
 
@@ -497,30 +496,25 @@ def _plane_ious(planes_p, planes_g) -> np.ndarray:
     return ious
 
 
-def _plane_f(pred, gt, rows_p, rows_g, grid: ImageGrid, iou_threshold: float) -> float:
+def _plane_f(pred, gt, rows_p, rows_g, grid: ImageGrid) -> float:
     ious = _plane_ious(_planes(pred, rows_p, grid), _planes(gt, rows_g, grid))
     # greedy one-to-one by descending IoU, ties in (pred, truth) order; the
     # next float below -t as the distance bound keeps the match at IoU > t
-    matched = _greedy_match(-ious, np.nextafter(-iou_threshold, -np.inf))
+    matched = _greedy_match(-ious, np.nextafter(-PLANE_IOU_THRESHOLD, -np.inf))
     return _f_score(len(matched), *ious.shape)
 
 
-def plane_f(
-    pred_layout: VisibleLayout,
-    gt_layout: VisibleLayout,
-    grid: ImageGrid | None = None,
-    iou_threshold: float = PLANE_IOU_THRESHOLD,
-) -> float:
-    """Surface-matching F-score: same-class planes matched at mask IoU > 0.5.
+def plane_f(pred_layout: VisibleLayout, gt_layout: VisibleLayout) -> float:
+    """Surface-matching F-score: same-class planes matched at mask IoU above
+    ``PLANE_IOU_THRESHOLD`` (0.5), on the grid the two layouts share.
 
     Planes are the floor, the ceiling, and one wall per corner-to-corner edge;
     occlusion edges contribute no plane. Matching is greedy by descending IoU,
     one-to-one.
     """
-    _check_same_grid(pred_layout, gt_layout)
-    grid = grid or pred_layout.grid
-    rows = [_rows(_boundaries_of(x, grid), grid) for x in (pred_layout, gt_layout)]
-    return _plane_f(pred_layout, gt_layout, *rows, grid, iou_threshold)
+    grid = _grid_of(pred_layout, gt_layout)
+    rows = [_rows(synth.layout_boundaries(x), grid) for x in (pred_layout, gt_layout)]
+    return _plane_f(pred_layout, gt_layout, *rows, grid)
 
 
 def evaluate_pair(
@@ -532,14 +526,13 @@ def evaluate_pair(
     only ``"non_visible"``."""
     if regime != "non_visible":
         raise InputError(f"the visible regime was removed; got regime {regime!r}")
-    _check_same_grid(pred, gt)
-    grid = pred.grid
+    grid = _grid_of(pred, gt)
     iou2d, iou3d = _ious(pred, gt, pred.room_height, gt.room_height)
-    bounds_p = synth.layout_boundaries(pred, grid)
-    bounds_g = synth.layout_boundaries(gt, grid)
+    bounds_p = synth.layout_boundaries(pred)
+    bounds_g = synth.layout_boundaries(gt)
     rows_p, rows_g = _rows(bounds_p, grid), _rows(bounds_g, grid)
-    p_pts = corner_image_points(pred, grid)
-    g_pts = corner_image_points(gt, grid)
+    p_pts = corner_image_points(pred)
+    g_pts = corner_image_points(gt)
     return MetricReport(
         iou2d=iou2d,
         iou3d=iou3d,
@@ -547,5 +540,5 @@ def evaluate_pair(
         pixel_error=_column_pixel_error(bounds_p, bounds_g, grid),
         junction_f=junction_f(p_pts, g_pts, grid),
         wireframe_f=_wireframe_f(rows_p, rows_g, p_pts, g_pts, grid.width, THRESHOLDS),
-        plane_f=_plane_f(pred, gt, rows_p, rows_g, grid, PLANE_IOU_THRESHOLD),
+        plane_f=_plane_f(pred, gt, rows_p, rows_g, grid),
     )

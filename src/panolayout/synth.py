@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detect import BoundarySignal
 from .errors import GeometryError, InputError, RoomLayoutError
 from .geometry import (
     CameraModel,
@@ -238,18 +239,14 @@ def corner_bumps(columns, width: int, sigma: float = 2.0) -> np.ndarray:
     return y_p
 
 
-def render_signal(
-    room: SyntheticRoom, grid: ImageGrid | None = None, peak_sigma: float = 2.0
-):
+def render_signal(room: SyntheticRoom, grid: ImageGrid | None = None):
     """Render the exact boundary signal and its ground-truth visible layout.
 
     Each column's longitude is ray-cast to the nearest wall at distance d,
     giving y_f = -atan(camera_height / d) and
-    y_c = atan((room_height - camera_height) / d); y_p carries a unit bump at
-    every visible vertex.
+    y_c = atan((room_height - camera_height) / d); y_p carries a unit
+    :func:`corner_bumps` bump at every visible vertex.
     """
-    from .detect import BoundarySignal  # local import: detect depends on geometry
-
     grid = grid or ImageGrid()
     _, dist = _raycast(room.camera_position, room.floor_polygon, _grid_rays(grid))
     above = room.room_height - room.camera_height
@@ -261,12 +258,13 @@ def render_signal(
         for c in truth.corners
         if c.kind is not CornerKind.OCCLUSION_FAR
     ]
-    y_p = corner_bumps(peak_cols, grid.width, peak_sigma)
+    y_p = corner_bumps(peak_cols, grid.width)
     return BoundarySignal(y_p, y_c, y_f), truth
 
 
-def layout_boundaries(layout: VisibleLayout, grid: ImageGrid | None = None):
-    """Per-column (y_c, y_f) implied by a visible layout's floor polygon.
+def layout_boundaries(layout: VisibleLayout):
+    """Per-column (y_c, y_f) implied by a visible layout's floor polygon, at
+    every column of the layout's grid.
 
     Re-renders the layout from its own camera, so occlusion edges (collinear
     with rays) never register as walls. The polygon is ray-cast as it is:
@@ -276,18 +274,15 @@ def layout_boundaries(layout: VisibleLayout, grid: ImageGrid | None = None):
     ``GeometryError``. A room height not above the camera is an ``InputError``.
     The grid's ray directions are computed once per grid and cached.
     """
-    grid = grid or layout.grid
     h = layout.camera.camera_height
     if not h < layout.room_height:
         raise InputError(f"need camera_height < room_height, got {h}, {layout.room_height}")
-    _, dist = _raycast(np.zeros(2), layout.floor_points(), _grid_rays(grid))
+    _, dist = _raycast(np.zeros(2), layout.floor_points(), _grid_rays(layout.grid))
     return np.arctan2(layout.room_height - h, dist), -np.arctan2(h, dist)
 
 
 def perturb_signal(signal, noise_sigma: float, seed: int = 0):
     """Seeded Gaussian noise on both boundary curves; y_p untouched."""
-    from .detect import BoundarySignal
-
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if seed < 0:

@@ -256,15 +256,17 @@ class TestAssembleLayout:
 
     def test_sort_keeps_pair_order(self, square_case):
         _, sig, _ = square_case
+        # columns on the signal's 1024-column grid
         corners = [
-            _corner(60, 2.0, CornerKind.OCCLUSION_FAR),
-            _corner(60, 1.0, CornerKind.OCCLUSION_NEAR),
-            _corner(25, 2.0),
-            _corner(3, 1.0, CornerKind.OCCLUSION_NEAR),
-            _corner(3, 1.2, CornerKind.OCCLUSION_FAR),
-            _corner(45, 2.0),
+            _corner(960, 2.0, CornerKind.OCCLUSION_FAR),
+            _corner(960, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(400, 2.0),
+            _corner(48, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(48, 1.2, CornerKind.OCCLUSION_FAR),
+            _corner(720, 2.0),
         ]
-        layout = assemble_layout(corners, sig, CAM, ImageGrid(64, 32))
+        layout = assemble_layout(corners, sig, CAM)
+        assert layout.grid == sig.grid
         assert layout.corners == [corners[i] for i in (3, 4, 2, 5, 0, 1)]
         assert layout.occlusion_pairs() == [(0, 1), (4, 5)]
 
@@ -273,13 +275,13 @@ class TestAssembleLayout:
         # one camera ray already
         _, sig, _ = square_case
         corners = [
-            _corner(5.0, 1.0, CornerKind.OCCLUSION_NEAR),
-            _corner(5.5, 2.0, CornerKind.OCCLUSION_FAR),
-            _corner(25, 2.0),
-            _corner(45, 2.0),
+            _corner(80.0, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(88.0, 2.0, CornerKind.OCCLUSION_FAR),
+            _corner(400, 2.0),
+            _corner(720, 2.0),
         ]
         with pytest.raises(AssemblyError, match="no adjacent partner"):
-            assemble_layout(corners, sig, CAM, ImageGrid(64, 32))
+            assemble_layout(corners, sig, CAM)
 
 
 class TestPolygonHelpers:

@@ -292,11 +292,6 @@ class TestRenderSemantic:
         signal, truth = render_signal(make_fixture("square", 0))
         assert np.array_equal(render_semantic(signal), render_semantic(truth))
 
-    def test_signal_width_must_match_grid(self):
-        sig = BoundarySignal(np.zeros(64), np.full(64, 0.5), np.full(64, -0.5))
-        with pytest.raises(InputError):
-            render_semantic(sig, ImageGrid(128, 64))
-
 
 class TestPixelError:
     def test_identical(self):
@@ -335,7 +330,7 @@ class TestPixelError:
             y_f[half] = -rng.uniform(1e-3, np.pi / 2 - 1e-3, half.sum())
             bounds.append((y_c, y_f))
         masks = [
-            render_semantic(BoundarySignal(np.zeros(grid.width), y_c, y_f), grid)
+            render_semantic(BoundarySignal(np.zeros(grid.width), y_c, y_f))
             for y_c, y_f in bounds
         ]
         assert _column_pixel_error(*bounds, grid) == pixel_error(*masks)
@@ -487,8 +482,9 @@ def full_augmentation_wireframe_f(p_pts, g_pts, width):
     return chamfer_f(nearest(p_pts, g_pts), nearest(g_pts, p_pts))
 
 
-def wire_points(layout, grid, include_verticals=True):
-    y_c, y_f = layout_boundaries(layout, grid)
+def wire_points(layout, include_verticals=True):
+    grid = layout.grid
+    y_c, y_f = layout_boundaries(layout)
     cols = np.arange(grid.width, dtype=float)
     pts = [
         np.stack([cols, lat_to_row(y_c, grid)], axis=1),
@@ -546,7 +542,7 @@ class TestWireframeF:
         assert min(c.column for c in pred.corners) < 20
         assert max(c.column for c in gt.corners) > GRID.width - 20
         want = full_augmentation_wireframe_f(
-            wire_points(pred, GRID), wire_points(gt, GRID), GRID.width
+            wire_points(pred), wire_points(gt), GRID.width
         )
         assert wireframe_f(pred, gt) == want
         assert want < 1.0
@@ -574,8 +570,8 @@ class TestWireframeF:
             assume(False)
         wires = []
         for layout in (pred, truth):
-            bounds = layout_boundaries(layout, GRID)
-            pts = corner_image_points(layout, GRID) if verticals else None
+            bounds = layout_boundaries(layout)
+            pts = corner_image_points(layout) if verticals else None
             wire = _wireframe(_rows(bounds, GRID), pts)
             want = tree_chamfer.points(layout, bounds, GRID, verticals)
             assert np.array_equal(np.stack(_wireframe_points(wire), axis=1), want)
@@ -650,7 +646,7 @@ class TestWireframeF:
         pred, truth = l_room_round_trip(seed=1)
         got = wireframe_f(pred, truth)
         want = brute_wireframe_f(
-            wire_points(pred, GRID), wire_points(truth, GRID), GRID.width
+            wire_points(pred), wire_points(truth), GRID.width
         )
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -736,7 +732,7 @@ class TestPlaneF:
     def test_matches_per_pair_loop(self, corpus, metric_oracle, family, seed, sigma):
         _, signal, truth = corpus[(family, seed)]
         pred = postprocess(perturb_signal(signal, sigma, seed=seed) if sigma else signal)
-        rows = [_rows(layout_boundaries(x, GRID), GRID) for x in (pred, truth)]
+        rows = [_rows(layout_boundaries(x), GRID) for x in (pred, truth)]
         labelled = [metric_oracle.planes(x, r, GRID) for x, r in zip((pred, truth), rows)]
         ious, f = per_pair_plane_f(*labelled)
         planes = [_planes(x, r, GRID) for x, r in zip((pred, truth), rows)]
@@ -744,7 +740,7 @@ class TestPlaneF:
             assert np.array_equal(top, top_want) and np.array_equal(bot, bot_want)
         assert np.array_equal(_plane_ious(*planes), ious)
         assert np.array_equal(metric_oracle.plane_ious(*labelled), ious)
-        assert plane_f(pred, truth, GRID) == f
+        assert plane_f(pred, truth) == f
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -794,15 +790,13 @@ class TestEvaluatePair:
             report = evaluate_pair(pred, truth)
             assert report.iou2d == iou_2d(pred, truth)
             assert report.iou3d == iou_3d(pred, truth)
-            p_pts = corner_image_points(pred, GRID)
-            g_pts = corner_image_points(truth, GRID)
+            p_pts = corner_image_points(pred)
+            g_pts = corner_image_points(truth)
             assert report.corner_error == corner_error(p_pts, g_pts, GRID)
             assert report.junction_f == junction_f(p_pts, g_pts, GRID)
             assert report.wireframe_f == wireframe_f(pred, truth, GRID)
-            assert report.plane_f == plane_f(pred, truth, GRID)
-            assert report.pixel_error == pixel_error(
-                render_semantic(pred, GRID), render_semantic(truth, GRID)
-            )
+            assert report.plane_f == plane_f(pred, truth)
+            assert report.pixel_error == pixel_error(render_semantic(pred), render_semantic(truth))
 
     def test_all_fields_in_unit_interval(self):
         pred, truth = l_room_round_trip(seed=3)
@@ -829,6 +823,42 @@ class TestEvaluatePair:
                 metric(pred, gt)
         metric(half, half)
 
+    @pytest.mark.parametrize("metric", [wireframe_f, junction_f, corner_error])
+    def test_grid_other_than_the_layouts_rejected(self, metric):
+        # ``grid`` places bare points; given with layouts it must be theirs
+        room = make_fixture("l_room", 0)
+        _, full = render_signal(room)
+        _, half = render_signal(room, ImageGrid(512, 256))
+        for layout, foreign in ((full, ImageGrid(512, 256)), (half, GRID)):
+            with pytest.raises(InputError, match="not the inputs' own grid"):
+                metric(layout, layout, foreign)
+        assert metric(half, half, half.grid) == metric(half, half)
+
+    def test_signal_grid_follows_its_width(self):
+        signal, _ = render_signal(make_fixture("square", 0))
+        noisy = perturb_signal(signal, 0.005, seed=0)
+        assert signal.grid == GRID
+        assert wireframe_f(signal, noisy, include_verticals=False) == wireframe_f(
+            signal, noisy, GRID, include_verticals=False
+        )
+        small = BoundarySignal(np.zeros(64), np.full(64, 0.5), np.full(64, -0.5))
+        assert small.grid == ImageGrid(64, 32)
+        with pytest.raises(InputError, match="not the inputs' own grid"):
+            wireframe_f(small, small, GRID, include_verticals=False)
+        with pytest.raises(InputError, match="inputs are on different grids"):
+            wireframe_f(small, signal, include_verticals=False)
+
+    def test_bare_points_scored_on_the_layouts_grid(self):
+        # a column 512 over is the same column on a 512-column grid only
+        _, half = render_signal(make_fixture("l_room", 0), ImageGrid(512, 256))
+        pts = corner_image_points(half)
+        moved = pts + [512.0, 0.0]
+        assert junction_f(moved, half) == 1.0
+        assert corner_error(moved, half) == 0.0
+        assert junction_f(moved, pts) == 0.0  # bare points alone: the 1024-column grid
+        with pytest.raises(InputError, match="not the inputs' own grid"):
+            junction_f(moved, half, GRID)
+
     def test_as_row_field_order(self):
         r = MetricReport(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
         assert r.as_row() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
@@ -837,7 +867,7 @@ class TestEvaluatePair:
 class TestCornerImagePoints:
     def test_two_points_per_corner(self):
         _, truth = render_signal(make_fixture("square", 4))
-        pts = corner_image_points(truth, GRID)
+        pts = corner_image_points(truth)
         assert pts.shape == (8, 2)
         # ceiling junction above the floor junction in image rows
         assert (pts[0::2, 1] < pts[1::2, 1]).all()

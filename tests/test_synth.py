@@ -160,7 +160,7 @@ class TestLayoutBoundaries:
                 h = layout.camera.camera_height
                 room = SyntheticRoom(layout.floor_points(), layout.room_height, np.zeros(2), h)
                 dist, _ = raycast(room, col_to_lon(np.arange(GRID.width), GRID))
-                y_c, y_f = layout_boundaries(layout, GRID)
+                y_c, y_f = layout_boundaries(layout)
                 assert np.array_equal(y_c, np.arctan2(layout.room_height - h, dist))
                 assert np.array_equal(y_f, -np.arctan2(h, dist))
 
