@@ -42,7 +42,7 @@ class BoundarySignal:
 
     ``y_p`` is in [0, 1]; ``y_c`` (ceiling-wall) is in (0, pi/2); ``y_f``
     (floor-wall) is in (-pi/2, 0). All three share one length, the panorama
-    width.
+    width, which is even and at least 4 (the width of a 2:1 grid).
     """
 
     y_p: np.ndarray
@@ -59,6 +59,10 @@ class BoundarySignal:
         if not len(self.y_p) == len(self.y_c) == len(self.y_f):
             raise InputError(
                 f"signal lengths differ: {len(self.y_p)}, {len(self.y_c)}, {len(self.y_f)}"
+            )
+        if self.width < 4 or self.width % 2:
+            raise InputError(
+                f"signal width {self.width} has no panorama grid: it must be even and >= 4"
             )
         for name, arr, lo, hi in (
             ("y_p", self.y_p, 0.0, 1.0),

@@ -9,7 +9,8 @@ Formats:
                 floats: corner probability, ceiling latitudes, floor
                 latitudes (radians).
   corner txt    one "x y" pixel pair per line, alternating ceiling/floor at a
-                shared x, x ascending between corners.
+                shared x, x ascending between corners; parses into a visible
+                layout of visible corners on a given grid and camera.
   layout json   lossless serialization of a visible layout.
   PLY           ASCII mesh: floor/ceiling fans plus wall quads; occlusion
                 spans are left open, since their geometry is unknown.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -44,19 +45,33 @@ SIGNAL_MAGIC = "PANOSIG1"
 LAYOUT_FORMAT = "visible-layout-1"
 
 
+def _text(data, what: str) -> str:
+    """``data`` as text: bytes are decoded as UTF-8."""
+    if not isinstance(data, bytes):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what} is not UTF-8: {e}") from None
+
+
+def _json(data, what: str):
+    """``data`` decoded as a JSON document. Besides JSONDecodeError, json.loads
+    raises ValueError for an integer of over 4300 digits and RecursionError
+    for deep nesting."""
+    text = _text(data, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid json: {e}") from None
+
+
 # --- boundary signal files ---
 
 
 def parse_signal_file(data) -> BoundarySignal:
     """Parse a signal file (bytes or text) into a validated BoundarySignal."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"signal file is not UTF-8: {e}") from None
-    else:
-        text = data
-    tokens = text.split()
+    tokens = _text(data, "signal file").split()
     if not tokens or tokens[0] != SIGNAL_MAGIC:
         got = tokens[0][:16] if tokens else "<empty>"
         raise ParseError(f"bad magic: expected {SIGNAL_MAGIC}, got {got!r}")
@@ -95,42 +110,23 @@ def emit_signal_file(signal: BoundarySignal) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- corner annotations (pixel space) ---
+# --- corner annotations ---
 
 
-@dataclass(frozen=True)
-class LayoutFile:
-    """Corner annotations in pixel space: (column, ceiling_row, floor_row)."""
-
-    corners: tuple
-    grid: ImageGrid = field(default_factory=ImageGrid)
-    camera_height: float | None = None
-    room_height: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "corners", tuple(tuple(map(float, c)) for c in self.corners))
-        prev = -math.inf
-        for x, ceil_row, floor_row in self.corners:
-            if not 0 <= x < self.grid.width:
-                raise ParseError(f"corner column {x} outside [0, {self.grid.width})")
-            if not (0 <= ceil_row < self.grid.height and 0 <= floor_row < self.grid.height):
-                raise ParseError(f"corner row outside [0, {self.grid.height}) at x={x}")
-            if not ceil_row < floor_row:
-                raise ParseError(f"ceiling row {ceil_row} not above floor row {floor_row} at x={x}")
-            if x < prev:
-                raise ParseError(f"corner columns not sorted at x={x}")
-            prev = x
-
-
-def parse_corner_txt(text: str, grid: ImageGrid | None = None) -> LayoutFile:
-    """Parse alternating ceiling/floor "x y" lines into a LayoutFile.
+def parse_corner_txt(data, grid: ImageGrid | None = None,
+                     camera: CameraModel | None = None) -> VisibleLayout:
+    """Parse alternating ceiling/floor "x y" pixel lines into a visible layout.
 
     Line 2k is a corner's ceiling point and line 2k+1 its floor point at the
-    same x (0.5 px tolerance); corners must come in ascending x. The pixel
-    grid the annotations refer to is not stored in the format itself, so it
-    is a parameter (default 1024x512).
+    same x (0.5 px tolerance); corners must come in ascending x. The format
+    stores neither the pixel grid nor the camera, so both are parameters
+    (default 1024x512 and a 1.6 m camera). Rows become latitudes on ``grid``;
+    every corner is visible, and the room height is the median of the
+    heights the corners imply.
     """
+    text = _text(data, "corner txt")
     grid = grid or ImageGrid()
+    camera = camera or CameraModel()
     points = []
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,7 +145,9 @@ def parse_corner_txt(text: str, grid: ImageGrid | None = None) -> LayoutFile:
         raise ParseError("no corner lines")
     if len(points) % 2:
         raise ParseError(f"line {last_line}: odd number of corner lines ({len(points)})")
+    h = camera.camera_height
     corners = []
+    heights = []
     prev_x = -math.inf
     for k in range(0, len(points), 2):
         (x1, y1, l1), (x2, y2, l2) = points[k], points[k + 1]
@@ -161,59 +159,31 @@ def parse_corner_txt(text: str, grid: ImageGrid | None = None) -> LayoutFile:
         if x <= prev_x:
             raise ParseError(f"line {l1}: corner x {x} not ascending")
         prev_x = x
-        corners.append((x, y1, y2))
+        try:
+            corner = LayoutCorner(x, row_to_lat(y1, grid), row_to_lat(y2, grid))
+        except RoomLayoutError as e:
+            raise ParseError(f"line {l1}: {e}") from None
+        corners.append(corner)
+        d = float(floor_distance(corner.floor_lat, h))
+        heights.append(h + d * math.tan(corner.ceil_lat))
     try:
-        return LayoutFile(tuple(corners), grid)
+        return VisibleLayout(corners, camera, float(np.median(heights)), grid)
     except RoomLayoutError as e:
         raise ParseError(str(e)) from None
 
 
-def emit_corner_txt(layout_file: LayoutFile) -> str:
-    cols = [c[0] for c in layout_file.corners]
-    if any(b <= a for a, b in zip(cols, cols[1:])):
-        raise EmitError("corner txt cannot represent corners sharing a column")
+def emit_corner_txt(layout: VisibleLayout) -> str:
+    """Each corner's column with its ceiling row, then with its floor row, on
+    ``layout.grid``. The format has no corner kinds, so a layout with
+    occlusion pairs cannot be written."""
+    if layout.occlusion_pairs():
+        raise EmitError("corner txt cannot represent occlusion pairs")
     lines = []
-    for x, ceil_row, floor_row in layout_file.corners:
-        lines.append(f"{repr(float(x))} {repr(float(ceil_row))}")
-        lines.append(f"{repr(float(x))} {repr(float(floor_row))}")
+    for c in layout.corners:
+        x = repr(float(c.column))
+        lines.append(f"{x} {lat_to_row(c.ceil_lat, layout.grid)!r}")
+        lines.append(f"{x} {lat_to_row(c.floor_lat, layout.grid)!r}")
     return "\n".join(lines) + "\n"
-
-
-def layout_from_file(lf: LayoutFile, camera: CameraModel | None = None) -> VisibleLayout:
-    """Lift pixel-space corner annotations into a visible layout.
-
-    Rows become latitudes on the annotation grid; room height is the median
-    ceiling height implied by the corners (or the stored value if present).
-    """
-    camera = camera or CameraModel(lf.camera_height or 1.6)
-    corners = []
-    heights = []
-    for x, ceil_row, floor_row in lf.corners:
-        ceil_lat = float(row_to_lat(ceil_row, lf.grid))
-        floor_lat = float(row_to_lat(floor_row, lf.grid))
-        corners.append(LayoutCorner(x % lf.grid.width, ceil_lat, floor_lat))
-        d = float(floor_distance(floor_lat, camera.camera_height))
-        heights.append(camera.camera_height + d * math.tan(ceil_lat))
-    room_height = lf.room_height if lf.room_height is not None else float(np.median(heights))
-    corners.sort(key=lambda c: c.column)
-    return VisibleLayout(corners, camera, room_height, lf.grid)
-
-
-def file_from_layout(layout: VisibleLayout) -> LayoutFile:
-    corners = tuple(
-        (
-            c.column,
-            float(lat_to_row(c.ceil_lat, layout.grid)),
-            float(lat_to_row(c.floor_lat, layout.grid)),
-        )
-        for c in layout.corners
-    )
-    return LayoutFile(
-        corners,
-        layout.grid,
-        camera_height=layout.camera.camera_height,
-        room_height=layout.room_height,
-    )
 
 
 # --- layout JSON ---
@@ -238,16 +208,8 @@ def emit_layout_json(layout: VisibleLayout) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_layout_json(text) -> VisibleLayout:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"layout json is not UTF-8: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid json: {e}") from None
+def parse_layout_json(data) -> VisibleLayout:
+    doc = _json(data, "layout json")
     try:
         if doc["format"] != LAYOUT_FORMAT:
             raise ParseError(f"unsupported layout format {doc.get('format')!r}")
@@ -456,23 +418,19 @@ def convert_structured3d(data) -> str:
     column before emission. Other release variants (3D junction graphs) are
     out of scope.
     """
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid json: {e}") from None
-    else:
-        doc = data
-    if not isinstance(doc, dict) or "junctions" not in doc:
+    doc = _json(data, "annotation json") if isinstance(data, (bytes, str)) else data
+    raw = doc.get("junctions") if isinstance(doc, dict) else None
+    if not isinstance(raw, list):
         raise ParseError("document has no 'junctions' list")
-    raw = doc["junctions"]
     pts = []
     for j in raw:
         coord = j.get("coordinate") if isinstance(j, dict) else j
         try:
             x, y = float(coord[0]), float(coord[1])
-        except (TypeError, ValueError, IndexError):
-            raise ParseError(f"junction is not a 2D point: {j!r}") from None
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError):
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"junction is not a finite 2D point: {j!r}")
         pts.append((x, y))
     if len(pts) < 6 or len(pts) % 2:
         raise ParseError(f"need an even number (>= 6) of junctions, got {len(pts)}")

@@ -58,21 +58,6 @@ def wrap_lon(lon):
     return np.where((lon >= -math.pi) & (lon < math.pi), lon, folded)
 
 
-@dataclass(frozen=True)
-class SphericalCoord:
-    """A viewing direction; finite longitude auto-wrapped, latitude strictly off the poles."""
-
-    lon: float
-    lat: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.lon):
-            raise GeometryError(f"longitude {self.lon} is not finite")
-        object.__setattr__(self, "lon", float(wrap_lon(self.lon)))
-        if not -math.pi / 2 < self.lat < math.pi / 2:
-            raise GeometryError(f"latitude {self.lat} is at or beyond a pole")
-
-
 def col_to_lon(u, grid: ImageGrid = ImageGrid()):
     """Longitude of column ``u`` (integer or real-valued, 0 <= u < width).
 

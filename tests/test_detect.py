@@ -537,6 +537,10 @@ class TestExtractOcclusionPair:
         )
         y_f = np.array(data.draw(st.lists(levels, min_size=w, max_size=w)))
         y_c = np.array(data.draw(st.lists(st.floats(0.01, 1.5), min_size=w, max_size=w)))
+        if w < 4 or w % 2:  # no 2:1 grid has this width
+            with pytest.raises(InputError, match=f"signal width {w} "):
+                BoundarySignal(np.zeros(w), y_c, y_f)
+            return
         sig = BoundarySignal(np.zeros(w), y_c, y_f)
         # a threshold equal to one of the signal's jumps, or one ulp above it
         jumps = np.abs(np.diff(y_f, append=y_f[0]))
@@ -588,6 +592,12 @@ class TestPostprocess:
         _, sig, _ = square_case
         with pytest.raises(InputError):
             postprocess(sig, mode="both")
+
+    def test_odd_width_rejected_before_detection(self, square_case):
+        # 1023 columns have no 2:1 grid; the signal, not assemble_layout, says so
+        _, sig, _ = square_case
+        with pytest.raises(InputError, match="signal width 1023 "):
+            postprocess(BoundarySignal(sig.y_p[:1023], sig.y_c[:1023], sig.y_f[:1023]))
 
     @pytest.mark.parametrize("sigma", [0.003, 0.005, 0.01])
     def test_noisy_corpus_gives_layout_or_reconstruction_error(self, corpus, sigma):

@@ -12,8 +12,8 @@ from panolayout import (
     BoundarySignal,
     CornerKind,
     EmitError,
+    CameraModel,
     ImageGrid,
-    LayoutFile,
     MetricReport,
     ParseError,
     VisibleLayout,
@@ -24,13 +24,12 @@ from panolayout import (
     emit_report,
     emit_signal_file,
     emit_svg_topdown,
-    file_from_layout,
-    layout_from_file,
     parse_corner_txt,
     parse_layout_json,
     parse_signal_file,
     postprocess,
     render_signal,
+    row_to_lat,
 )
 from panolayout.synth import make_fixture, perturb_signal
 
@@ -130,6 +129,10 @@ class TestSignalFile:
         with pytest.raises(ParseError, match="width"):
             parse_signal_file("PANOSIG1")
 
+    def test_width_without_grid(self):
+        with pytest.raises(ParseError, match="signal width 3 "):
+            parse_signal_file("PANOSIG1 3 0 0 0 0.5 0.5 0.5 -0.5 -0.5 -0.5")
+
     def test_empty_and_binary_garbage(self):
         with pytest.raises(ParseError):
             parse_signal_file("")
@@ -146,13 +149,19 @@ class TestCornerTxt:
     )
 
     def test_box_room_four_corners(self):
-        lf = parse_corner_txt(self.BOX)
-        assert len(lf.corners) == 4
-        assert lf.corners[1] == (300.5, 118.0, 404.0)
+        for data in (self.BOX, self.BOX.encode()):
+            layout = parse_corner_txt(data)
+            assert isinstance(layout, VisibleLayout)
+            assert len(layout.corners) == 4
+            assert layout.grid == GRID and layout.camera.camera_height == 1.6
+            c = layout.corners[1]
+            assert (c.column, c.ceil_lat, c.floor_lat, c.kind) == (
+                300.5, row_to_lat(118.0, GRID), row_to_lat(404.0, GRID), CornerKind.VISIBLE
+            )
 
     def test_single_pair(self):
-        lf = parse_corner_txt("512.0 100.0\n512.0 400.0")
-        assert lf.corners == ((512.0, 100.0, 400.0),)
+        with pytest.raises(ParseError, match=">= 3 corners"):
+            parse_corner_txt("512.0 100.0\n512.0 400.0")
 
     def test_odd_line_count_names_last_line(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -163,17 +172,38 @@ class TestCornerTxt:
             parse_corner_txt("10.0 100.0\n11.0 400.0")
 
     def test_half_pixel_x_tolerance_folds_to_mean(self):
-        lf = parse_corner_txt("10.0 100.0\n10.4 400.0")
-        assert lf.corners[0][0] == pytest.approx(10.2)
+        layout = parse_corner_txt("10.0 100.0\n10.4 400.0\n" + self.BOX.split("\n", 2)[2])
+        assert layout.corners[0].column == pytest.approx(10.2)
 
     def test_ceiling_below_floor_rejected(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_corner_txt("10.0 400.0\n10.0 100.0")
 
+    def test_rows_above_horizon_rejected(self):
+        text = self.BOX.replace("300.5 404.0", "300.5 200.0")
+        with pytest.raises(ParseError, match="line 3: corner needs floor_lat < 0"):
+            parse_corner_txt(text)
+
+    def test_row_out_of_range(self):
+        with pytest.raises(ParseError, match="line 1: row"):
+            parse_corner_txt(self.BOX.replace("100.0 120.0", "100.0 -1.0"))
+        with pytest.raises(ParseError, match="line 7: row"):
+            parse_corner_txt(self.BOX.replace("900.0 401.0", "900.0 512.0"))
+
+    def test_column_out_of_range(self):
+        with pytest.raises(ParseError, match="column"):
+            parse_corner_txt(self.BOX.replace("900.0", "1024.0"))
+        with pytest.raises(ParseError, match="column"):
+            parse_corner_txt(self.BOX.replace("900.0", "nan"))
+
     def test_non_ascending_rejected(self):
         text = "500.0 100.0\n500.0 400.0\n200.0 100.0\n200.0 400.0"
         with pytest.raises(ParseError, match="ascending"):
             parse_corner_txt(text)
+
+    def test_shared_column_rejected(self):
+        with pytest.raises(ParseError, match="line 5: .* not ascending"):
+            parse_corner_txt(self.BOX.replace("612.0", "300.5"))
 
     def test_non_numeric_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -187,55 +217,58 @@ class TestCornerTxt:
         with pytest.raises(ParseError, match="no corner"):
             parse_corner_txt("\n\n")
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_corner_txt(b"\xff\xfe 1.0")
+
     def test_blank_lines_skipped(self):
-        assert len(parse_corner_txt("\n10.0 100.0\n\n10.0 400.0\n\n").corners) == 1
+        assert len(parse_corner_txt("\n" + self.BOX.replace("\n", "\n\n")).corners) == 4
 
     def test_emit_round_trip(self):
-        lf = parse_corner_txt(self.BOX)
-        again = parse_corner_txt(emit_corner_txt(lf))
-        assert again.corners == lf.corners
+        layout = parse_corner_txt(self.BOX)
+        again = parse_corner_txt(emit_corner_txt(layout))
+        assert again.room_height == pytest.approx(layout.room_height, abs=1e-12)
+        for a, b in zip(again.corners, layout.corners, strict=True):
+            assert a.column == b.column
+            assert a.ceil_lat == pytest.approx(b.ceil_lat, abs=1e-12)
+            assert a.floor_lat == pytest.approx(b.floor_lat, abs=1e-12)
 
     def test_emit_rejects_shared_columns(self):
-        lf = LayoutFile(((10.0, 100.0, 400.0), (10.0, 90.0, 410.0)))
-        with pytest.raises(EmitError):
-            emit_corner_txt(lf)
+        _, truth = fixture_layouts("l_room", 0)
+        assert truth.occlusion_pairs()
+        with pytest.raises(EmitError, match="occlusion"):
+            emit_corner_txt(truth)
 
+    def test_fixture_truths_round_trip(self, corpus):
+        checked = 0
+        for _, _, truth in corpus.values():
+            if truth.occlusion_pairs():
+                continue
+            back = parse_corner_txt(emit_corner_txt(truth), truth.grid, truth.camera)
+            assert back.grid == truth.grid and back.camera == truth.camera
+            assert back.room_height == pytest.approx(truth.room_height, abs=1e-12)
+            for a, b in zip(back.corners, truth.corners, strict=True):
+                assert a.column == pytest.approx(b.column, abs=1e-12)
+                assert a.ceil_lat == pytest.approx(b.ceil_lat, abs=1e-12)
+                assert a.floor_lat == pytest.approx(b.floor_lat, abs=1e-12)
+            checked += 1
+        assert checked == 80
 
-class TestLayoutFile:
-    def test_row_out_of_range(self):
-        with pytest.raises(ParseError, match="row"):
-            LayoutFile(((10.0, -1.0, 400.0),))
-        with pytest.raises(ParseError, match="row"):
-            LayoutFile(((10.0, 100.0, 512.0),))
-
-    def test_column_out_of_range(self):
-        with pytest.raises(ParseError, match="column"):
-            LayoutFile(((1024.0, 100.0, 400.0),))
-        with pytest.raises(ParseError, match="column"):
-            LayoutFile(((float("nan"), 100.0, 400.0),))
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ParseError, match="sorted"):
-            LayoutFile(((500.0, 100.0, 400.0), (100.0, 100.0, 400.0)))
-
-    def test_layout_round_trip_through_pixel_file(self):
-        _, truth = fixture_layouts("square", 1)
-        lf = file_from_layout(truth)
-        back = layout_from_file(lf)
-        assert len(back.corners) == len(truth.corners)
-        for a, b in zip(back.corners, truth.corners):
-            assert a.column == pytest.approx(b.column, abs=1e-9)
-            assert a.ceil_lat == pytest.approx(b.ceil_lat, abs=1e-9)
-            assert a.floor_lat == pytest.approx(b.floor_lat, abs=1e-9)
-        assert back.room_height == pytest.approx(truth.room_height, abs=1e-9)
-        assert back.camera.camera_height == truth.camera.camera_height
-
-    def test_room_height_estimated_when_absent(self):
+    def test_room_height_from_corners(self):
+        # the implied heights scale with the camera height
         _, truth = fixture_layouts("pentagon", 0)
-        lf = file_from_layout(truth)
-        stripped = LayoutFile(lf.corners, lf.grid, camera_height=lf.camera_height)
-        back = layout_from_file(stripped)
-        assert back.room_height == pytest.approx(truth.room_height, abs=1e-9)
+        text = emit_corner_txt(truth)
+        back = parse_corner_txt(text, truth.grid, truth.camera)
+        assert back.room_height == pytest.approx(truth.room_height, abs=1e-12)
+        tall = parse_corner_txt(text, truth.grid, CameraModel(2 * truth.camera.camera_height))
+        assert tall.room_height == pytest.approx(2 * truth.room_height, abs=1e-12)
+
+    def test_grid_sets_the_latitudes(self):
+        half = ImageGrid(512, 256)
+        layout = parse_corner_txt("50.0 60.0\n50.0 200.0\n150.0 60.0\n150.0 200.0\n"
+                                  "350.0 60.0\n350.0 200.0\n", grid=half)
+        assert layout.grid == half
+        assert layout.corners[0].floor_lat == row_to_lat(200.0, half)
 
 
 class TestLayoutJson:
@@ -266,8 +299,11 @@ class TestLayoutJson:
             parse_layout_json(json.dumps(doc))
 
     def test_invalid_json(self):
-        with pytest.raises(ParseError, match="json"):
-            parse_layout_json("{not json")
+        # json.loads raises plain ValueError for an over-long integer and
+        # RecursionError for deep nesting
+        for text in ("{not json", "1" * 5000, "[" * 100_000):
+            with pytest.raises(ParseError, match="invalid json"):
+                parse_layout_json(text)
 
     def test_missing_key(self):
         _, truth = fixture_layouts("square", 2)
@@ -440,9 +476,10 @@ class TestConvertStructured3d:
         pts = [[100.0, 400.0], [100.0, 120.0], [50.0, 110.0], [50.0, 390.0],
                [700.0, 100.0], [700.0, 410.0]]
         txt = convert_structured3d(self.doc(pts))
-        lf = parse_corner_txt(txt)
-        assert [c[0] for c in lf.corners] == [50.0, 100.0, 700.0]
-        assert lf.corners[0][1:] == (110.0, 390.0)
+        layout = parse_corner_txt(txt)
+        assert [c.column for c in layout.corners] == [50.0, 100.0, 700.0]
+        c = layout.corners[0]
+        assert (c.ceil_lat, c.floor_lat) == (row_to_lat(110.0, GRID), row_to_lat(390.0, GRID))
 
     def test_coordinate_objects(self):
         pts = [{"coordinate": [100.0, 400.0]}, {"coordinate": [100.0, 120.0]},
@@ -469,6 +506,28 @@ class TestConvertStructured3d:
             convert_structured3d("{bad")
         with pytest.raises(ParseError, match="2D point"):
             convert_structured3d(self.doc([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]]))
+        with pytest.raises(ParseError, match="2D point"):
+            convert_structured3d(self.doc([{"coordinate": {"x": 1.0}}] * 6))
+        for text in ("1" * 5000, "[" * 100_000):
+            with pytest.raises(ParseError, match="invalid json"):
+                convert_structured3d(text)
+
+    @pytest.mark.parametrize("junctions", ["5", "null", '{"a": 1}', '"abcdef"'])
+    def test_junctions_not_a_list(self, junctions):
+        with pytest.raises(ParseError, match="'junctions' list"):
+            convert_structured3d('{"junctions": %s}' % junctions)
+
+    def test_non_utf8_bytes(self):
+        with pytest.raises(ParseError, match="UTF-8"):
+            convert_structured3d(b'{"junctions": [\xff]}')
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "long_int"])
+    def test_non_finite_coordinate(self, bad):
+        doc = self.doc([[100.0, 400.0], [100.0, 120.0], [50.0, 110.0], [50.0, 390.0],
+                        [700.0, 100.0], [700.0, 410.0]])
+        with pytest.raises(ParseError, match="finite 2D point"):
+            convert_structured3d(doc.replace("390.0", bad))
 
 
 class TestMutationFuzz:
@@ -511,11 +570,19 @@ class TestMutationFuzz:
         rng = np.random.default_rng(2026)
         for blob in self.mutate(base, rng, 600):
             try:
-                text = blob.decode("utf-8")
-            except UnicodeDecodeError:
-                continue
-            try:
-                out = parse_corner_txt(text)
+                out = parse_corner_txt(blob)
             except ParseError:
                 continue
-            assert isinstance(out, LayoutFile)
+            assert isinstance(out, VisibleLayout)
+
+    def test_structured3d_fuzz(self):
+        pts = [{"coordinate": [100.0, 400.0]}, [100.0, 120.0], [50.0, 110.0],
+               [50.0, 390.0], {"coordinate": [700.0, 100.0]}, [700.0, 410.0]]
+        base = json.dumps({"junctions": pts}).encode()
+        rng = np.random.default_rng(2027)
+        for blob in self.mutate(base, rng, 600):
+            try:
+                out = convert_structured3d(blob)
+            except ParseError:
+                continue
+            assert isinstance(out, str)

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 from panolayout.errors import GeometryError, InputError
 from panolayout.panorama import (
     ImageGrid,
-    SphericalCoord,
     col_to_lon,
     cyclic_column_distance,
     lat_to_row,
@@ -199,22 +198,6 @@ class TestWrap:
     @given(st.floats(min_value=0.0, max_value=1024.0, exclude_max=True))
     def test_wrap_col_identity_on_range(self, col):
         assert wrap_col(col, 1024) == col
-
-
-class TestSphericalCoord:
-    def test_longitude_wrapped(self):
-        c = SphericalCoord(1.0 + 2 * math.pi, 0.1)
-        assert c.lon == pytest.approx(1.0, abs=1e-12)
-        assert c.lat == 0.1
-
-    @pytest.mark.parametrize("lon", [math.inf, -math.inf, math.nan])
-    def test_non_finite_longitude_rejected(self, lon):
-        with pytest.raises(GeometryError):
-            SphericalCoord(lon, 0.1)
-
-    def test_latitude_at_pole_rejected(self):
-        with pytest.raises(GeometryError):
-            SphericalCoord(0.0, math.pi / 2)
 
 
 class TestCyclicDistance:
