@@ -27,6 +27,7 @@ from .geometry import (
     VisibleLayout,
     assemble_layout,
     estimate_room_height,
+    gap_reaches_half_turn,
     wall_distance_profile,
 )
 from .panorama import ImageGrid, cyclic_column_distance, wrap_col
@@ -491,7 +492,8 @@ def postprocess(
     jump column lies within the cluster radius of a corner peak replaces that
     corner rather than duplicating it.
     A confirmed column without such a jump adds nothing, and a corner peak
-    near it stays a plain corner.
+    near it stays a plain corner. Fewer than 3 corners, or a gap of half a
+    turn between neighbouring corners, is a ``ReconstructionError``.
     """
     config = config or DetectConfig()
     cam = cam or CameraModel()
@@ -513,8 +515,11 @@ def postprocess(
     claimed = (dist <= config.cluster_radius).any(axis=0).tolist()
     corners = [_refined_corner(signal, p, config) for p, c in zip(peaks, claimed) if not c]
     corners += [corner for pair in pairs.values() for corner in pair]
-    if len(corners) < 3:
+    cols = sorted(c.column for c in corners)
+    ends = cols[1:] + [c + w for c in cols[:1]]
+    if len(cols) < 3 or any(gap_reaches_half_turn(a, b, w) for a, b in zip(cols, ends)):
         raise ReconstructionError(
-            f"signal yields {len(corners)} corners; a closed layout needs >= 3"
+            f"signal yields {len(cols)} corners; a closed layout needs >= 3, with "
+            "less than half a turn between neighbours"
         )
     return assemble_layout(corners, signal, cam)

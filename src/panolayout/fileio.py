@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import fields
 from typing import Sequence
 
@@ -213,7 +214,7 @@ def parse_layout_json(data) -> VisibleLayout:
     try:
         if doc["format"] != LAYOUT_FORMAT:
             raise ParseError(f"unsupported layout format {doc.get('format')!r}")
-        grid = ImageGrid(int(doc["grid"]["width"]), int(doc["grid"]["height"]))
+        grid = ImageGrid(doc["grid"]["width"], doc["grid"]["height"])
         corners = [
             LayoutCorner(
                 float(c["column"]),
@@ -238,69 +239,27 @@ def parse_layout_json(data) -> VisibleLayout:
 # --- PLY mesh ---
 
 
-def _ear_clip(points: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulate a simple CCW polygon; N-2 triangles, works for reflex shapes."""
-    idx = list(range(len(points)))
-    tris = []
-    guard = 0
-    while len(idx) > 3 and guard < 10000:
-        guard += 1
-        n = len(idx)
-        for k in range(n):
-            i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
-            a, b, c = points[i0], points[i1], points[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 1e-12:
-                continue  # reflex or degenerate corner, not an ear
-            ear = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                if _point_in_triangle(points[j], a, b, c):
-                    ear = False
-                    break
-            if ear:
-                tris.append((i0, i1, i2))
-                idx.pop(k)
-                break
-        else:
-            break  # numerically stuck; fall through to fan
-    if len(idx) == 3:
-        tris.append((idx[0], idx[1], idx[2]))
-    else:
-        for k in range(1, len(idx) - 1):
-            tris.append((idx[0], idx[k], idx[k + 1]))
-    return tris
-
-
-def _point_in_triangle(p, a, b, c) -> bool:
-    def side(u, v):
-        return (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
-
-    d1, d2, d3 = side(a, b), side(b, c), side(c, a)
-    return not ((d1 < 0 or d2 < 0 or d3 < 0) and (d1 > 0 or d2 > 0 or d3 > 0))
-
-
 def emit_ply(layout: VisibleLayout) -> bytes:
-    """ASCII mesh: wall quads (two triangles each) plus floor/ceiling caps.
+    """ASCII mesh: wall quads (two triangles each) plus floor/ceiling fans.
 
-    Vertex i is corner i's floor point, vertex N+i its ceiling point. Spans
-    between occlusion pairs get no wall, leaving the mesh open exactly where
-    the room is not observed.
+    Vertex i is corner i's floor point, vertex N+i its ceiling point, and
+    vertices 2N and 2N+1 the floor and ceiling points plumb with the camera.
+    A layout winds once around its camera, so each cap is a fan from there,
+    one triangle per polygon edge (of zero area on an occlusion edge, which
+    keeps every spoke shared by two triangles). Occlusion spans get no wall:
+    the mesh is open exactly where the room is not observed.
     """
     pts = layout.floor_points()
     n = len(pts)
-    if n < 3:
-        raise EmitError("layout has no polygon to mesh")
-    h = layout.room_height - 0.0
+    h = layout.room_height
     verts = [(p[0], p[1], 0.0) for p in pts] + [(p[0], p[1], h) for p in pts]
+    verts += [(0.0, 0.0, 0.0), (0.0, 0.0, h)]
     faces: list[tuple[int, int, int]] = []
     for i, j in layout.wall_edges():
         faces.append((i, j, n + j))
         faces.append((i, n + j, n + i))
-    floor_tris = _ear_clip(pts)
-    faces.extend(floor_tris)
-    faces.extend((n + a, n + c, n + b) for a, b, c in floor_tris)
+    faces += [(2 * n, i, (i + 1) % n) for i in range(n)]
+    faces += [(2 * n + 1, n + (i + 1) % n, n + i) for i in range(n)]
     lines = [
         "ply",
         "format ascii 1.0",
@@ -412,11 +371,11 @@ def convert_structured3d(data) -> str:
     """Map a panorama layout annotation document to corner txt.
 
     Assumed variant: a JSON object with a "junctions" list of 2D pixel
-    positions, either bare [x, y] pairs or {"coordinate": [x, y]} objects,
-    listing each wall junction's ceiling point and floor point (in either
-    order) so that junctions come in vertical pairs. Pairs are sorted by
-    column before emission. Other release variants (3D junction graphs) are
-    out of scope.
+    positions, each an array [x, y] of two numbers, bare or as
+    {"coordinate": [x, y]}, listing each wall junction's ceiling point and
+    floor point (in either order) so that junctions come in vertical pairs.
+    Pairs are sorted by column before emission. Other release variants (3D
+    junction graphs) are out of scope.
     """
     doc = _json(data, "annotation json") if isinstance(data, (bytes, str)) else data
     raw = doc.get("junctions") if isinstance(doc, dict) else None
@@ -425,13 +384,14 @@ def convert_structured3d(data) -> str:
     pts = []
     for j in raw:
         coord = j.get("coordinate") if isinstance(j, dict) else j
-        try:
-            x, y = float(coord[0]), float(coord[1])
-        except (TypeError, ValueError, IndexError, KeyError, OverflowError):
-            x = y = math.nan
-        if not (math.isfinite(x) and math.isfinite(y)):
+        # int/float comparisons are exact: NaN, infinities and integers too
+        # large for a float fail the bound
+        if not (isinstance(coord, list) and len(coord) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in coord
+        )):
             raise ParseError(f"junction is not a finite 2D point: {j!r}")
-        pts.append((x, y))
+        pts.append((float(coord[0]), float(coord[1])))
     if len(pts) < 6 or len(pts) % 2:
         raise ParseError(f"need an even number (>= 6) of junctions, got {len(pts)}")
     pts.sort(key=lambda p: (p[0], p[1]))

@@ -60,9 +60,10 @@ class LayoutCorner:
     kind: CornerKind = CornerKind.VISIBLE
 
     def __post_init__(self):
-        if not self.floor_lat < 0 < self.ceil_lat:
+        if not -math.pi / 2 < self.floor_lat < 0 < self.ceil_lat < math.pi / 2:
             raise GeometryError(
-                f"corner needs floor_lat < 0 < ceil_lat, got ({self.floor_lat}, {self.ceil_lat})"
+                "corner needs floor_lat < 0 < ceil_lat, both within pi/2 of the "
+                f"horizon, got ({self.floor_lat}, {self.ceil_lat})"
             )
 
 
@@ -205,15 +206,23 @@ def point_in_polygon(point, points: np.ndarray) -> bool:
     return inside
 
 
+def gap_reaches_half_turn(a: float, b: float, width: int) -> bool:
+    """True if column ``b``, unwrapped to lie at or after ``a``, is half a
+    turn or more past it: corners with such a gap cannot surround the camera."""
+    return b - a >= width / 2
+
+
 @dataclass(frozen=True)
 class VisibleLayout:
     """An ordered cyclic corner list with camera model, room height, and grid.
 
     Corners are sorted by increasing column; the two corners of an occlusion
     pair share a column (they lie on one camera ray) and are adjacent in the
-    list, in the order the boundary traverses them. The floor polygon traced
-    through the corners' floor points is simple. The occlusion pairs and the
-    floor polygon are worked out once, at construction.
+    list, in the order the boundary traverses them. Every cyclic gap between
+    neighbouring columns is below half a turn, so the floor polygon traced
+    through the corners' floor points winds once around the camera, and it
+    is simple. The room is higher than the camera. The occlusion pairs and
+    the floor polygon are worked out once, at construction.
     """
 
     corners: list[LayoutCorner]
@@ -222,8 +231,11 @@ class VisibleLayout:
     grid: ImageGrid = field(default_factory=ImageGrid)
 
     def __post_init__(self):
-        if self.room_height <= 0:
-            raise GeometryError(f"room_height must be > 0, got {self.room_height}")
+        h = self.camera.camera_height
+        if not h < self.room_height < math.inf:
+            raise GeometryError(
+                f"need camera_height < room_height < inf, got {h}, {self.room_height}"
+            )
         if len(self.corners) < 3:
             raise AssemblyError(f"layout needs >= 3 corners, got {len(self.corners)}")
         self._check_order_and_pairs()
@@ -235,17 +247,23 @@ class VisibleLayout:
             raise AssemblyError("floor polygon is self-intersecting or degenerate")
 
     def _check_order_and_pairs(self):
-        """One walk over the sorted corners: each occlusion corner pairs with
+        """One walk over the sorted corners: each gap to the next corner,
+        cyclically, is below half a turn; each occlusion corner pairs with
         the next corner, which must be of the opposite occlusion kind in the
         same column, and the near corner must be closer than that partner."""
-        corners, n = self.corners, len(self.corners)
+        corners, n, w = self.corners, len(self.corners), self.grid.width
         h = self.camera.camera_height
         pairs: list[tuple[int, int]] = []
         for i, c in enumerate(corners):
-            if not 0 <= c.column < self.grid.width:
-                raise AssemblyError(f"corner column {c.column} outside [0, {self.grid.width})")
+            if not 0 <= c.column < w:
+                raise AssemblyError(f"corner column {c.column} outside [0, {w})")
+            prev = corners[i - 1]  # for i = 0, the last corner, across the seam
+            if gap_reaches_half_turn(prev.column, c.column + (0 if i else w), w):
+                raise AssemblyError(
+                    f"corners at columns {prev.column} and {c.column} leave half a turn "
+                    "or more between them, so the layout does not surround its camera"
+                )
             if i:
-                prev = corners[i - 1]
                 if c.column < prev.column - 1e-9:
                     raise AssemblyError("corners not sorted by column")
                 if c.column - prev.column < 1e-9 and not (

@@ -16,6 +16,7 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class ImageGrid:
     height: int = 512
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.width, self.height)):
+            raise InputError(f"grid sizes must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 4 or self.height < 2:
             raise InputError(f"grid too small: {self.width}x{self.height}")
         if self.width != 2 * self.height:

@@ -89,11 +89,11 @@ class SyntheticRoom:
 def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """(E, C) matrix of ray parameters s to each edge; inf where no hit.
 
-    Edge parameter t lives in the half-open [0, 1) so a ray through a shared
-    vertex counts exactly one of the two incident edges. t values within one
-    part in 1e9 of an endpoint count as the endpoint; otherwise a ray passing
-    exactly through a vertex can round to t slightly above 1 on the incoming
-    edge and slightly below 0 on the outgoing one and miss both.
+    An edge is hit where its two ends lie on different sides of the ray's
+    line; each vertex has one side per ray, shared by both of its edges, so
+    a ray through a vertex where the boundary crosses it hits one edge. s is
+    held between the ends' projections on the ray, where the hit lies: on an
+    edge along the ray, such as an occlusion edge, its quotient is noise.
     """
     a = polygon
     e = np.concatenate([a[1:], a[:1]]) - a
@@ -101,13 +101,14 @@ def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np
     dx, dy = dirs[:, 0][None, :], dirs[:, 1][None, :]
     ex, ey = e[:, 0][:, None], e[:, 1][:, None]
     wx, wy = w[:, 0][:, None], w[:, 1][:, None]
-    denom = dx * ey - dy * ex
+    side = wx * dy - wy * dx >= 0
+    crosses = side != np.concatenate([side[1:], side[:1]])
+    proj = wx * dx + wy * dy
+    proj_next = np.concatenate([proj[1:], proj[:1]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (wx * ey - wy * ex) / denom
-        t = (wx * dy - wy * dx) / denom
-    ok = (np.abs(denom) > 1e-12) & ((t >= 0.0) | (np.abs(t) < 1e-9))
-    ok &= (t < 1.0) & ~(np.abs(t - 1.0) < 1e-9) & (s > HIT_EPS)
-    return np.where(ok, s, np.inf)
+        s = (wx * ey - wy * ex) / (dx * ey - dy * ex)
+    s = np.fmin(np.fmax(s, np.minimum(proj, proj_next)), np.maximum(proj, proj_next))
+    return np.where(crosses & (s > HIT_EPS), s, np.inf)
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,16 +268,12 @@ def layout_boundaries(layout: VisibleLayout):
     every column of the layout's grid.
 
     Re-renders the layout from its own camera, so occlusion edges (collinear
-    with rays) never register as walls. The polygon is ray-cast as it is:
-    ``VisibleLayout.__post_init__`` checked that it is simple, and its corners
-    are in longitude order, so it winds once around the camera unless a gap
-    between corners reaches half a turn; then a ray escapes and this raises
-    ``GeometryError``. A room height not above the camera is an ``InputError``.
-    The grid's ray directions are computed once per grid and cached.
+    with rays) never register as walls. The polygon is ray-cast as it is: a
+    ``VisibleLayout`` winds once around its camera, below a room higher than
+    the camera, so every ray meets a wall. The grid's ray directions are
+    computed once per grid and cached.
     """
     h = layout.camera.camera_height
-    if not h < layout.room_height:
-        raise InputError(f"need camera_height < room_height, got {h}, {layout.room_height}")
     _, dist = _raycast(np.zeros(2), layout.floor_points(), _grid_rays(layout.grid))
     return np.arctan2(layout.room_height - h, dist), -np.arctan2(h, dist)
 

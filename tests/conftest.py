@@ -254,23 +254,23 @@ def pair_oracle():
 
 
 def roll_hit_params(origin, dirs, polygon):
-    """Reference for ``synth._hit_params``: the next vertex by ``np.roll``, and
-    t values within 1e-9 of 0 or 1 snapped onto the endpoint before the
-    half-open [0, 1) test."""
-    a = polygon
-    e = np.roll(polygon, -1, axis=0) - a
-    w = a - origin
-    dx, dy = dirs[:, 0][None, :], dirs[:, 1][None, :]
-    ex, ey = e[:, 0][:, None], e[:, 1][:, None]
-    wx, wy = w[:, 0][:, None], w[:, 1][:, None]
-    denom = dx * ey - dy * ex
+    """Reference for ``synth._hit_params``: the next vertex by ``np.roll``, each
+    vertex's side of every ray's line by ``np.outer``, an edge hit where the
+    sides of its two ends differ, and s clipped to the span of the ends'
+    projections on the ray (their nearer end where the quotient is 0/0)."""
+    w = polygon - origin
+    e = np.roll(polygon, -1, axis=0) - polygon
+    side = np.outer(w[:, 0], dirs[:, 1]) - np.outer(w[:, 1], dirs[:, 0]) >= 0
+    crosses = side != np.roll(side, -1, axis=0)
+    proj = np.outer(w[:, 0], dirs[:, 0]) + np.outer(w[:, 1], dirs[:, 1])
+    lo = np.minimum(proj, np.roll(proj, -1, axis=0))
+    hi = np.maximum(proj, np.roll(proj, -1, axis=0))
+    num = w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]
+    denom = np.outer(e[:, 1], dirs[:, 0]) - np.outer(e[:, 0], dirs[:, 1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = (wx * ey - wy * ex) / denom
-        t = (wx * dy - wy * dx) / denom
-    t = np.where(np.abs(t) < 1e-9, 0.0, t)
-    t = np.where(np.abs(t - 1.0) < 1e-9, 1.0, t)
-    ok = (np.abs(denom) > 1e-12) & (t >= 0.0) & (t < 1.0) & (s > 1e-9)
-    return np.where(ok, s, np.inf)
+        s = num[:, None] / denom
+    s = np.where(np.isnan(s), lo, np.clip(s, lo, hi))
+    return np.where(crosses & (s > 1e-9), s, np.inf)
 
 
 def modulo_seam_rows(rows, width, reach, pad):

@@ -369,6 +369,22 @@ class TestRender:
         assert "gone.layout.json" in err
         assert (tmp_path / "r" / "square_0000.svg").exists()
 
+    def test_layout_not_around_its_camera_fails_per_file(self, tmp_path, run):
+        write_corpus(tmp_path / "d", families=("square",), seeds=(0,))
+        good = tmp_path / "d" / "square_0000.layout.json"
+        doc = json.loads(good.read_text())
+        corner = {"ceil_lat": 0.5, "floor_lat": -0.5, "kind": "visible"}
+        doc["corners"] = [dict(corner, column=col) for col in (100.0, 200.0, 300.0)]
+        bad = tmp_path / "d" / "wedge.layout.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run("render", str(good), str(bad), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out.strip() == "square_0000: svg + ply"
+        assert "wedge.layout.json" in err and "half a turn" in err
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+            "square_0000.ply", "square_0000.svg"
+        ]
+
     def test_no_layouts_is_usage_error(self, tmp_path, run):
         code, _, err = run("render", "--out", str(tmp_path / "r"))
         assert code == 1

@@ -651,6 +651,15 @@ class TestPostprocess:
         with pytest.raises(ReconstructionError):
             postprocess(sig)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_corners_within_half_a_turn(self, square_case, mode):
+        # corner peaks at 100, 200 and 300 only: the corners leave 824 of 1024
+        # columns empty, so they cannot surround the camera
+        _, sig, _ = square_case
+        peaks = BoundarySignal(corner_bumps([100, 200, 300], W), sig.y_c, sig.y_f)
+        with pytest.raises(ReconstructionError, match="half a turn"):
+            postprocess(peaks, mode=mode)
+
     def test_deterministic(self, t_room_case):
         _, sig, _ = t_room_case
         a = postprocess(sig)

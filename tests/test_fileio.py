@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from panolayout import (
     FIXTURE_FAMILIES,
+    AssemblyError,
     BoundarySignal,
     CornerKind,
     EmitError,
@@ -31,6 +34,8 @@ from panolayout import (
     render_signal,
     row_to_lat,
 )
+from panolayout.geometry import LayoutCorner, floor_point, polygon_is_simple
+from panolayout.panorama import col_to_lon
 from panolayout.synth import make_fixture, perturb_signal
 
 GRID = ImageGrid()
@@ -327,6 +332,31 @@ class TestLayoutJson:
         with pytest.raises(ParseError):
             parse_layout_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1.0"])
+    def test_room_height_not_above_camera_rejected(self, value):
+        _, truth = fixture_layouts("square", 2)
+        text = emit_layout_json(truth).replace(
+            f'"room_height": {truth.room_height!r}', f'"room_height": {value}'
+        )
+        assert f'"room_height": {value}' in text
+        with pytest.raises(ParseError, match="camera_height < room_height"):
+            parse_layout_json(text)
+
+    @pytest.mark.parametrize("size", [[1024.9, 512.2], [1024.0, 512.0], ["1024", "512"]])
+    def test_non_integer_grid_rejected(self, size):
+        _, truth = fixture_layouts("square", 2)
+        doc = json.loads(emit_layout_json(truth))
+        doc["grid"] = dict(zip(("width", "height"), size))
+        with pytest.raises(ParseError, match="integers"):
+            parse_layout_json(json.dumps(doc))
+
+    def test_floor_point_past_the_pole_rejected(self):
+        _, truth = fixture_layouts("square", 2)
+        doc = json.loads(emit_layout_json(truth))
+        doc["corners"][1]["floor_lat"] = -1.6
+        with pytest.raises(ParseError, match="pi/2"):
+            parse_layout_json(json.dumps(doc))
+
     def test_unsorted_corners_rejected(self):
         _, truth = fixture_layouts("square", 2)
         doc = json.loads(emit_layout_json(truth))
@@ -356,12 +386,26 @@ def edge_use_counts(faces):
     return counts
 
 
+def fan_caps(layout):
+    """The PLY's floor and ceiling cap triangles, with the vertex table."""
+    verts, faces = parse_ply(emit_ply(layout))
+    n = len(layout.corners)
+    floor = [f for f in faces if f[0] == 2 * n]
+    ceiling = [f for f in faces if f[0] == 2 * n + 1]
+    return verts, floor, ceiling
+
+
+def triangle_signed_area(verts, tri):
+    (ax, ay), (bx, by), (cx, cy) = (verts[k, :2] for k in tri)
+    return 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
 class TestPly:
     def test_square_box_is_watertight(self):
         _, truth = fixture_layouts("square", 0)
         verts, faces = parse_ply(emit_ply(truth))
-        assert len(verts) == 8  # 2 x corners
-        assert len(faces) == 2 * 4 + 2 * (4 - 2)  # 2 per wall + two caps
+        assert len(verts) == 2 * 4 + 2  # 2 x corners + the camera's floor and ceiling points
+        assert len(faces) == 2 * 4 + 2 * 4  # 2 per wall + one per edge in each cap
         assert set(np.round(verts[:, 2], 9)) == {0.0, round(truth.room_height, 9)}
         assert all(c == 2 for c in edge_use_counts(faces).values())
 
@@ -369,8 +413,8 @@ class TestPly:
         truth = hand_l_truth()
         n = len(truth.corners)
         verts, faces = parse_ply(emit_ply(truth))
-        assert len(verts) == 2 * n
-        assert len(faces) == 2 * len(truth.wall_edges()) + 2 * (n - 2)
+        assert len(verts) == 2 * n + 2
+        assert len(faces) == 2 * len(truth.wall_edges()) + 2 * n
         boundary = [e for e, c in edge_use_counts(faces).items() if c == 1]
         (i, j), = truth.occlusion_pairs()
         # the open hole is the unbuilt occlusion quad: its four edges
@@ -378,19 +422,61 @@ class TestPly:
         assert sorted(boundary) == sorted(tuple(sorted(e)) for e in hole)
 
     def test_floor_triangulation_covers_polygon(self):
-        truth = hand_l_truth()  # reflex corner exercises ear clipping
-        pts = truth.floor_points()
-        n = len(pts)
-        _, faces = parse_ply(emit_ply(truth))
-        floor_tris = [f for f in faces if max(f) < n]
-        assert len(floor_tris) == n - 2
-        tri_area = 0.0
-        for a, b, c in floor_tris:
-            v1, v2 = pts[b] - pts[a], pts[c] - pts[a]
-            tri_area += 0.5 * abs(v1[0] * v2[1] - v1[1] * v2[0])
-        x, y = pts[:, 0], pts[:, 1]
-        poly_area = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-        assert tri_area == pytest.approx(poly_area, rel=1e-9)
+        truth = hand_l_truth()  # a reflex corner and an occlusion edge
+        n = len(truth.corners)
+        verts, floor, ceiling = fan_caps(truth)
+        assert floor == [(2 * n, i, (i + 1) % n) for i in range(n)]
+        assert ceiling == [(2 * n + 1, n + (i + 1) % n, n + i) for i in range(n)]
+        assert verts[2 * n].tolist() == [0.0, 0.0, 0.0]
+        assert verts[2 * n + 1].tolist() == [0.0, 0.0, truth.room_height]
+        areas = [triangle_signed_area(verts, t) for t in floor]
+        assert min(areas) >= 0.0
+        assert sum(areas) == pytest.approx(truth.floor_area(), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 4 * 1024 - 1), min_size=3, max_size=12, unique=True),
+        st.data(),
+    )
+    def test_layouts_around_the_camera_mesh_as_fans(self, quarters, data):
+        # visible corners on quarter columns with every cyclic gap below half
+        # a turn, at latitudes in the detector's clamp range: floor points
+        # from 1.6e-6 m to 1.6e6 m from the camera
+        cols = sorted(q / 4 for q in quarters)
+        assume(all(b - a < 512 for a, b in zip(cols, cols[1:] + [cols[0] + 1024])))
+        lat = st.floats(1e-6, math.pi / 2 - 1e-6)
+        corners = [LayoutCorner(c, data.draw(lat), -data.draw(lat)) for c in cols]
+        try:
+            layout = VisibleLayout(corners, CameraModel(), 3.2, GRID)
+        except AssemblyError:
+            # only where neighbouring floor points (near the camera) coincide
+            pts = np.array([
+                floor_point(lon, c.floor_lat, CameraModel())
+                for lon, c in zip(col_to_lon(np.array(cols), GRID), corners)
+            ])
+            assert any(np.allclose(a, b) for a, b in zip(pts, np.roll(pts, -1, axis=0)))
+            return
+        assert polygon_is_simple(layout.floor_points())
+        verts, floor, ceiling = fan_caps(layout)
+        areas = [triangle_signed_area(verts, t) for t in floor]
+        assert min(areas) >= 0.0
+        assert [-triangle_signed_area(verts, t) for t in ceiling] == areas
+        assert sum(areas) == pytest.approx(layout.floor_area(), rel=1e-9)
+
+    def test_fixture_truths_open_only_at_occlusion_quads(self, corpus):
+        for family in FIXTURE_FAMILIES:
+            for seed in range(3):
+                truth = corpus[(family, seed)][2]
+                n = len(truth.corners)
+                _, faces = parse_ply(emit_ply(truth))
+                once = [e for e, c in edge_use_counts(faces).items() if c == 1]
+                hole = [
+                    tuple(sorted(e))
+                    for i, j in truth.occlusion_pairs()
+                    for e in ((i, j), (n + i, n + j), (i, n + i), (j, n + j))
+                ]
+                assert sorted(once) == sorted(hole)
+                assert all(c <= 2 for c in edge_use_counts(faces).values())
 
 
 class TestSvg:
@@ -473,19 +559,48 @@ class TestConvertStructured3d:
         return json.dumps({"junctions": pts})
 
     def test_bare_pairs(self):
-        pts = [[100.0, 400.0], [100.0, 120.0], [50.0, 110.0], [50.0, 390.0],
+        pts = [[400.0, 400.0], [400.0, 120.0], [50.0, 110.0], [50.0, 390.0],
                [700.0, 100.0], [700.0, 410.0]]
         txt = convert_structured3d(self.doc(pts))
         layout = parse_corner_txt(txt)
-        assert [c.column for c in layout.corners] == [50.0, 100.0, 700.0]
+        assert [c.column for c in layout.corners] == [50.0, 400.0, 700.0]
         c = layout.corners[0]
         assert (c.ceil_lat, c.floor_lat) == (row_to_lat(110.0, GRID), row_to_lat(390.0, GRID))
 
     def test_coordinate_objects(self):
-        pts = [{"coordinate": [100.0, 400.0]}, {"coordinate": [100.0, 120.0]},
+        pts = [{"coordinate": [400.0, 400.0]}, {"coordinate": [400.0, 120.0]},
                {"coordinate": [50.0, 110.0]}, {"coordinate": [50.0, 390.0]},
                {"coordinate": [700.0, 100.0]}, {"coordinate": [700.0, 410.0]}]
         assert len(parse_corner_txt(convert_structured3d(self.doc(pts))).corners) == 3
+
+    def test_corners_not_around_the_camera_rejected(self):
+        # 100 -> 700 leaves 600 of 1024 columns without a corner
+        pts = [[100.0, 400.0], [100.0, 120.0], [50.0, 110.0], [50.0, 390.0],
+               [700.0, 100.0], [700.0, 410.0]]
+        txt = convert_structured3d(self.doc(pts))
+        with pytest.raises(ParseError, match="half a turn"):
+            parse_corner_txt(txt)
+
+    def test_string_junctions_rejected(self):
+        doc = json.dumps({"junctions": ["12", "14", "52", "58", "92", "98"]})
+        with pytest.raises(ParseError, match="junction is not a finite 2D point: '12'"):
+            convert_structured3d(doc)
+
+    def test_boolean_coordinate_rejected(self):
+        pts = [[True, 1], [50.0, 110.0], [50.0, 390.0], [400.0, 120.0], [400.0, 400.0],
+               [700.0, 100.0], [700.0, 410.0], [1.0, 300.0]]
+        with pytest.raises(ParseError, match=r"junction is not a finite 2D point: \[True, 1\]"):
+            convert_structured3d(self.doc(pts))
+        pts[0] = {"coordinate": [1, False]}
+        with pytest.raises(ParseError, match=r"'coordinate': \[1, False\]"):
+            convert_structured3d(self.doc(pts))
+
+    def test_integer_and_three_element_coordinates(self):
+        pts = [[400, 400], [400, 120], [50, 110], [50, 390], [700, 100], [700, 410]]
+        assert convert_structured3d(self.doc(pts)).splitlines()[0] == "50.0 110.0"
+        pts[0] = [400, 400, 0]
+        with pytest.raises(ParseError, match="2D point"):
+            convert_structured3d(self.doc(pts))
 
     def test_unpaired_columns_rejected(self):
         pts = [[100.0, 400.0], [103.0, 120.0], [50.0, 110.0], [50.0, 390.0],

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from panolayout.detect import BoundarySignal, postprocess
 from panolayout.errors import (
@@ -129,6 +129,22 @@ class TestEstimateRoomHeight:
             estimate_room_height(sig, CAM)
 
 
+class TestLayoutCorner:
+    @pytest.mark.parametrize(
+        "ceil_lat, floor_lat",
+        [(0.5, -1.6), (0.5, -math.pi / 2), (0.5, 0.0), (0.5, math.nan),
+         (1.6, -0.5), (math.pi / 2, -0.5), (0.0, -0.5), (math.nan, -0.5)],
+    )
+    def test_latitudes_outside_open_hemispheres_rejected(self, ceil_lat, floor_lat):
+        with pytest.raises(GeometryError, match="floor_lat < 0 < ceil_lat"):
+            LayoutCorner(10.0, ceil_lat, floor_lat)
+
+    def test_latitudes_next_to_the_poles_accepted(self):
+        below, above = math.nextafter(-math.pi / 2, 0), math.nextafter(math.pi / 2, 0)
+        c = LayoutCorner(10.0, above, below)
+        assert (c.ceil_lat, c.floor_lat) == (above, below)
+
+
 def _corner(column, distance, kind=CornerKind.VISIBLE):
     """Corner whose floor point lies ``distance`` meters from the camera."""
     return LayoutCorner(column, 0.5, -math.atan(CAM.camera_height / distance), kind)
@@ -210,6 +226,12 @@ class TestVisibleLayout:
         with pytest.raises(AssemblyError):
             VisibleLayout(corners, CAM)
 
+    @pytest.mark.parametrize("room_height", [math.nan, math.inf, 1.0, 1.6, 0.0, -3.2])
+    def test_room_not_above_camera_rejected(self, room_height):
+        corners = [_corner(100, 2.0), _corner(400, 2.0), _corner(700, 2.0)]
+        with pytest.raises(GeometryError, match="camera_height < room_height"):
+            VisibleLayout(corners, CAM, room_height)
+
     def test_floor_points_is_a_copy(self):
         truth = self._square_layout()
         truth.floor_points()[:] = 0.0
@@ -235,6 +257,38 @@ class TestVisibleLayout:
         layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64, 32))
         assert layout.occlusion_pairs() == [(0, 1), (4, 5)]
         assert layout.wall_edges() == [(1, 2), (2, 3), (3, 4), (5, 0)]
+
+
+class TestWindsAroundCamera:
+    """Every cyclic gap between neighbouring corner columns is below half a
+    turn; the layouts that pass are the ones that surround their camera."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([64, 1024]),
+        st.lists(st.integers(0, 4 * 1024 - 1), min_size=1, max_size=12, unique=True),
+        st.integers(0, 4 * 1024 - 1),
+        st.booleans(),
+    )
+    def test_gap_of_half_a_turn_rejected(self, width, offsets, start, at_edge):
+        # columns within one half turn of ``start``: the gap from the last
+        # back round to the first is at least half a turn
+        half = 2 * width  # quarter columns
+        quarters = sorted({o % (half + 1) for o in offsets} | ({0, half} if at_edge else {0}))
+        cols = sorted(((start + q) % (4 * width)) / 4 for q in quarters)
+        assume(len(cols) >= 3)
+        corners = [LayoutCorner(c, 0.5, -0.5) for c in cols]
+        with pytest.raises(AssemblyError, match="half a turn"):
+            VisibleLayout(corners, CAM, 3.2, ImageGrid(width, width // 2))
+
+    def test_gap_just_below_half_a_turn_accepted(self):
+        corners = [LayoutCorner(c, 0.5, -0.5) for c in (0.0, 511.75, 767.0)]
+        assert len(VisibleLayout(corners, CAM).corners) == 3
+
+    def test_gap_across_the_seam_checked(self):
+        corners = [LayoutCorner(c, 0.5, -0.5) for c in (700.0, 900.0, 1000.0)]
+        with pytest.raises(AssemblyError, match="columns 1000.0 and 700.0"):
+            VisibleLayout(corners, CAM)
 
 
 class TestAssembleLayout:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -557,6 +557,10 @@ class TestWireframeF:
         st.floats(-1.0, 1.0),
         st.booleans(),
     )
+    # a ray just beside a turned truth corner once missed both its edges, and
+    # one along a turned occlusion edge must still meet the edge
+    @example("t_room", 0, 0.005, 20.0, 0, 1e-09, False)
+    @example("t_room", 3, 0.0, 20.0, 2, 0.0, False)
     def test_distances_match_tree_oracle(
         self, corpus, tree_chamfer, family, seed, sigma, reach, corner, offset, verticals
     ):
@@ -580,6 +584,20 @@ class TestWireframeF:
             got = _nearest_distances(*_wireframe_points(src_wire), target_wire, GRID.width, reach)
             want = tree_chamfer.nearest(src, target, GRID.width, reach)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("column", [0.0, 1e-7])
+    def test_ray_through_a_corner_meets_a_wall(self, corpus, column):
+        # each truth turned so that one corner lies on the ray of column 0, or
+        # 1e-7 columns beside it; the ray runs along an occlusion edge when
+        # the corner is one of a pair
+        for family in FIXTURE_FAMILIES:
+            for seed in range(3):
+                truth = corpus[(family, seed)][2]
+                for corner in truth.corners:
+                    turned = rotated(truth, column - corner.column)
+                    y_c, y_f = layout_boundaries(turned)
+                    assert np.isfinite(y_c).all() and np.isfinite(y_f).all()
+                    assert evaluate_pair(turned, turned).iou2d == pytest.approx(1.0)
 
     def test_distances_at_the_edge_of_reach_match_tree_oracle(self, tree_chamfer):
         # (1 - 2**-53, 300) is 20 - 2**-53 columns from (21, 300), which rounds

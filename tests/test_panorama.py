@@ -33,6 +33,14 @@ class TestImageGrid:
         with pytest.raises(InputError):
             ImageGrid(0, 0)
 
+    @pytest.mark.parametrize("size", [(1024.0, 512.0), (1024, 512.0), ("1024", 512)])
+    def test_rejects_non_integer_sizes(self, size):
+        with pytest.raises(InputError, match="integers"):
+            ImageGrid(*size)
+
+    def test_accepts_numpy_integers(self):
+        assert ImageGrid(np.int64(64), np.int32(32)) == ImageGrid(64, 32)
+
     def test_diagonal(self):
         assert GRID.diagonal == pytest.approx(math.sqrt(1024**2 + 512**2), abs=1e-12)
 

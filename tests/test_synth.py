@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panolayout import (
+    AssemblyError,
     BoundarySignal,
     CornerKind,
     GeometryError,
@@ -111,7 +112,7 @@ class TestRaycast:
         st.sampled_from([0.0, 1e-9, -1e-9, 5e-324, -5e-324, 1.0, 1 - 1e-9, 1 + 1e-9, 0.5]),
         st.integers(0, 2**32 - 1),
     )
-    def test_hit_params_match_snapped_roll_form(self, metric_oracle, poly, origin, k, t, seed):
+    def test_hit_params_match_roll_form(self, metric_oracle, poly, origin, k, t, seed):
         # integer polygons of 3-12 vertices, possibly repeated or collinear;
         # rays exactly through every vertex, parallel to every edge, through
         # the point at parameter t of edge k (t near 0, 1 and +-1e-9), and at
@@ -165,17 +166,17 @@ class TestLayoutBoundaries:
                 assert np.array_equal(y_f, -np.arctan2(h, dist))
 
     def test_room_height_not_above_camera_rejected(self, square_case):
+        # such a layout is never built, so layout_boundaries never sees one
         _, _, truth = square_case
-        low = VisibleLayout(truth.corners, truth.camera, 1.6, truth.grid)
-        with pytest.raises(InputError, match="camera_height < room_height"):
-            layout_boundaries(low)
+        with pytest.raises(GeometryError, match="camera_height < room_height"):
+            VisibleLayout(truth.corners, truth.camera, 1.6, truth.grid)
 
-    def test_corners_within_half_a_turn_raise_geometry_error(self):
-        # a simple triangle that does not surround the camera: rays escape
+    def test_corners_within_half_a_turn_rejected(self):
+        # a simple triangle that does not surround the camera, where rays
+        # would escape, is never built
         corners = [LayoutCorner(col, 0.5, -0.5) for col in (100.0, 200.0, 300.0)]
-        layout = VisibleLayout(corners, room_height=3.2)
-        with pytest.raises(GeometryError, match="escaped"):
-            layout_boundaries(layout)
+        with pytest.raises(AssemblyError, match="half a turn"):
+            VisibleLayout(corners, room_height=3.2)
 
 
 class TestRenderSignal:
