@@ -43,7 +43,7 @@ class BoundarySignal:
 
     ``y_p`` is in [0, 1]; ``y_c`` (ceiling-wall) is in (0, pi/2); ``y_f``
     (floor-wall) is in (-pi/2, 0). All three share one length, the panorama
-    width, which is even and at least 4 (the width of a 2:1 grid).
+    width, which must be the width of an ``ImageGrid``.
     """
 
     y_p: np.ndarray
@@ -61,10 +61,10 @@ class BoundarySignal:
             raise InputError(
                 f"signal lengths differ: {len(self.y_p)}, {len(self.y_c)}, {len(self.y_f)}"
             )
-        if self.width < 4 or self.width % 2:
-            raise InputError(
-                f"signal width {self.width} has no panorama grid: it must be even and >= 4"
-            )
+        try:
+            ImageGrid(self.width)
+        except InputError as e:
+            raise InputError(f"signal width {self.width} has no panorama grid: {e}") from None
         for name, arr, lo, hi in (
             ("y_p", self.y_p, 0.0, 1.0),
             ("y_c", self.y_c, 0.0, HALF_PI),
@@ -87,7 +87,7 @@ class BoundarySignal:
     @property
     def grid(self) -> ImageGrid:
         """The full 2:1 panorama grid of the signal's width."""
-        return ImageGrid(self.width, self.width // 2)
+        return ImageGrid(self.width)
 
     def shifted(self, s: int) -> "BoundarySignal":
         """Signal rotated by ``s`` columns (column i of the result is column i-s)."""
@@ -110,48 +110,34 @@ class DiscontinuitySource(str, enum.Enum):
 CANDIDATE_DTYPE = np.dtype([("column", np.int64), ("source", "U15"), ("strength", float)])
 
 
+# Window sizes in columns, fixed: they tune approximations, not the network outputs.
+_CLUSTER_RADIUS = 4  # one corner's candidates spread over a few columns
+_EXTREMA_WINDOW = 5  # a strength-weighted cluster mean drifts a few columns off its jump
+_SMOOTHING_WIDTH = 5  # raw second differences of pixel-quantized curves are noise
+
+
 @dataclass(frozen=True)
 class DetectConfig:
-    """Tunable thresholds of the detection pipeline.
-
-    ``peak_min_separation=None`` resolves to ``width // 64`` at use time.
-    Column counts must be integers; the other thresholds, real numbers.
-    """
+    """Thresholds of the detection pipeline on the three network outputs."""
 
     peak_threshold: float = 0.5
-    peak_min_separation: int | None = None
     slope_threshold: float = 0.015  # radians per column
     kink_threshold: float = 0.008  # radians per column^2, on the smoothed curve
     jump_ratio: float = 1.15
-    cluster_radius: int = 4
-    extrema_window: int = 5
-    smoothing_width: int = 5
 
     def __post_init__(self):
-        reals = ("peak_threshold", "slope_threshold", "kink_threshold")
-        counts = ("cluster_radius", "extrema_window", "smoothing_width")
-        if self.peak_min_separation is not None:
-            counts += ("peak_min_separation",)
-        checks = ((reals, numbers.Real, "a number"), (counts, numbers.Integral, "an integer"))
-        for names, kind, what in checks:
-            for name in names:
-                value = getattr(self, name)
-                if not (isinstance(value, kind) and value > 0):
-                    raise InputError(f"{name} must be {what} > 0, got {value!r}")
-        if not (isinstance(self.jump_ratio, numbers.Real) and self.jump_ratio > 1):
-            raise InputError(f"jump_ratio must be a number > 1, got {self.jump_ratio!r}")
-
-    def min_separation(self, width: int) -> int:
-        if self.peak_min_separation is not None:
-            return self.peak_min_separation
-        return max(1, width // 64)
+        for name in ("peak_threshold", "slope_threshold", "kink_threshold", "jump_ratio"):
+            value, least = getattr(self, name), 1 if name == "jump_ratio" else 0
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > least):
+                raise InputError(f"{name} must be a number > {least}, got {value!r}")
 
 
 def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     """Cyclic local maxima of the corner probability above the peak threshold.
 
-    Peaks closer than the minimum separation suppress each other; the higher
-    peak survives, ties going to the lower column. Result sorted ascending.
+    Peaks closer than ``width // 64`` columns (at least 1) suppress each
+    other; the higher peak survives, ties going to the lower column. Result
+    sorted ascending.
     """
     config = config or DetectConfig()
     y_p = np.asarray(y_p, dtype=float)
@@ -160,7 +146,7 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     is_peak = (y_p >= ext[:-2]) & (y_p >= ext[2:]) & (y_p >= config.peak_threshold)
     cands = np.flatnonzero(is_peak)
     order = cands[np.lexsort((cands, -y_p[cands]))]
-    min_sep = config.min_separation(w)
+    min_sep = max(1, w // 64)
     kept: list[int] = []
     for c in order.tolist():
         # the cyclic distance of two integer columns in [0, w)
@@ -219,7 +205,7 @@ def detect_2d(
     # shrinking its second difference to m/span; the rescale by span turns the
     # statistic back into an estimate of the local slope-change rate so the
     # threshold is in radians per column squared.
-    span = config.smoothing_width
+    span = _SMOOTHING_WIDTH
     smooth = _box_smooth_cyclic(y, span)
     ext = np.concatenate((smooth[-1:], smooth, smooth[:1]))  # ext[i] == smooth[(i - 1) % w]
     d2 = span * np.abs(ext[2:] - 2 * smooth + ext[:-2])
@@ -280,22 +266,18 @@ def _cluster_columns(
 
 
 def ensemble(
-    candidates: np.ndarray,
-    width: int,
-    config: DetectConfig | None = None,
-    corner_peaks: Sequence[int] = (),
+    candidates: np.ndarray, width: int, corner_peaks: Sequence[int] = ()
 ) -> list[float]:
     """Cluster candidates from any subset of sources into confirmed columns.
 
     Candidates (a 1D ``CANDIDATE_DTYPE`` array with columns in [0, width)
-    and strengths > 0) within the cluster radius of each other (cyclically,
-    which is why the panorama width is required) merge by single linkage;
-    each cluster confirms one column, its strength-weighted mean. A cluster
-    that lands within the cluster radius of a corner peak (a column in
-    [0, width)) is pulled onto that peak instead of spawning a second corner
-    next to it.
+    and strengths > 0) within the cluster radius, 4 columns, of each other
+    (cyclically, which is why the panorama width is required) merge by
+    single linkage; each cluster confirms one column, its strength-weighted
+    mean. A cluster that lands within the cluster radius of a corner peak (a
+    column in [0, width)) is pulled onto that peak instead of spawning a
+    second corner next to it.
     """
-    config = config or DetectConfig()
     if not (isinstance(candidates, np.ndarray) and candidates.dtype == CANDIDATE_DTYPE):
         raise InputError("candidates must be an array of CANDIDATE_DTYPE")
     if candidates.ndim != 1:
@@ -313,10 +295,10 @@ def ensemble(
     bad = ~(wts > 0)
     if bad.any():
         raise InputError(f"candidate strength must be > 0, got {wts[bad][0]}")
-    confirmed = np.array(_cluster_columns(cols, wts, config.cluster_radius, width))
+    confirmed = np.array(_cluster_columns(cols, wts, _CLUSTER_RADIUS, width))
     if peaks.size:
         dist = cyclic_column_distance(confirmed[:, None], peaks[None, :], width)
-        snaps = dist.min(axis=1) <= config.cluster_radius
+        snaps = dist.min(axis=1) <= _CLUSTER_RADIUS
         confirmed[snaps] = peaks[dist.argmin(axis=1)[snaps]]
     # Snapped columns are peak values (distinct integers), and unsnapped means
     # lie farther than the cluster radius from every peak and from each other,
@@ -348,7 +330,7 @@ def _occlusion_pairs(
 ) -> list[tuple[LayoutCorner, LayoutCorner] | None]:
     """``extract_occlusion_pair`` at every column in [0, width) in one array
     pass over the windows: the pair at each column, None where ambiguous."""
-    w, half = signal.width, config.extrema_window
+    w, half = signal.width, _EXTREMA_WINDOW
     centers = np.rint(np.asarray(columns, dtype=float)).astype(np.int64)  # half to even, as round
     idx = (centers[:, None] + np.arange(-half, half + 1)) % w
     y = signal.y_f[idx]
@@ -398,7 +380,7 @@ def extract_occlusion_pair(
     (pair,) = _occlusion_pairs(signal, [column], config)
     if pair is None:
         raise AmbiguityError(
-            f"no floor-boundary discontinuity within {config.extrema_window} columns"
+            f"no floor-boundary discontinuity within {_EXTREMA_WINDOW} columns"
             f" of column {column}"
         )
     return pair
@@ -500,7 +482,7 @@ def postprocess(
     w = signal.width
     peaks = extract_corner_peaks(signal.y_p, config)
     cands = candidates_for_mode(signal, config, mode, cam)
-    confirmed = ensemble(cands, w, config, peaks)
+    confirmed = ensemble(cands, w, peaks)
 
     pairs: dict[float, tuple[LayoutCorner, LayoutCorner]] = {}  # by jump column
     pair_cols: list[float] = []  # confirmed and jump column of each kept pair
@@ -512,7 +494,7 @@ def postprocess(
             pairs[jump_col] = pair
             pair_cols += [col, jump_col]
     dist = cyclic_column_distance(np.array(pair_cols)[:, None], np.array(peaks)[None, :], w)
-    claimed = (dist <= config.cluster_radius).any(axis=0).tolist()
+    claimed = (dist <= _CLUSTER_RADIUS).any(axis=0).tolist()
     corners = [_refined_corner(signal, p, config) for p, c in zip(peaks, claimed) if not c]
     corners += [corner for pair in pairs.values() for corner in pair]
     cols = sorted(c.column for c in corners)

@@ -209,30 +209,44 @@ def emit_layout_json(layout: VisibleLayout) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]``, a JSON number, as a float; booleans and strings are not
+    numbers."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_layout_json(data) -> VisibleLayout:
     doc = _json(data, "layout json")
     try:
         if doc["format"] != LAYOUT_FORMAT:
             raise ParseError(f"unsupported layout format {doc.get('format')!r}")
-        grid = ImageGrid(doc["grid"]["width"], doc["grid"]["height"])
+        grid = ImageGrid(doc["grid"]["width"])
+        height = doc["grid"]["height"]
+        if not (isinstance(height, int) and height == grid.height):
+            raise ParseError(
+                f"grid height must be the integer width // 2 = {grid.height}, got {height!r}"
+            )
         corners = [
             LayoutCorner(
-                float(c["column"]),
-                float(c["ceil_lat"]),
-                float(c["floor_lat"]),
+                _number(c, "column"),
+                _number(c, "ceil_lat"),
+                _number(c, "floor_lat"),
                 CornerKind(c["kind"]),
             )
             for c in doc["corners"]
         ]
         return VisibleLayout(
             corners,
-            CameraModel(float(doc["camera_height"])),
-            float(doc["room_height"]),
+            CameraModel(_number(doc, "camera_height")),
+            _number(doc, "room_height"),
             grid,
         )
     except ParseError:
         raise
-    except (RoomLayoutError, KeyError, TypeError, ValueError) as e:
+    except (RoomLayoutError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid layout document: {e}") from None
 
 

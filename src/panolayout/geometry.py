@@ -37,7 +37,7 @@ class CameraModel:
 
     def __post_init__(self):
         h = self.camera_height
-        if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+        if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0 < h < math.inf):
             raise InputError(f"camera_height must be a finite number > 0, got {h!r}")
 
 
@@ -119,17 +119,14 @@ def wall_distance_profile(lats, cam: CameraModel, room_height: float | None = No
 def estimate_room_height(signal: "BoundarySignal", cam: CameraModel) -> float:
     """Camera height plus the median per-column ceiling height above the camera.
 
-    The median resists boundary outliers near occlusions.
+    The median resists boundary outliers near occlusions. Every column of a
+    ``BoundarySignal`` has a finite floor latitude below the horizon and a
+    ceiling latitude above it, so every column counts.
     """
-    y_c = np.asarray(signal.y_c, dtype=float)
-    y_f = np.asarray(signal.y_f, dtype=float)
-    valid = (y_f < 0) & (y_c > 0) & np.isfinite(y_f) & np.isfinite(y_c)
-    if np.count_nonzero(valid) < 8:
-        raise EstimationError(
-            f"room height needs >= 8 valid columns, got {np.count_nonzero(valid)}"
-        )
-    d_floor = cam.camera_height / np.tan(-y_f[valid])
-    z_c = d_floor * np.tan(y_c[valid])
+    if signal.width < 8:
+        raise EstimationError(f"room height needs >= 8 columns, got {signal.width}")
+    d_floor = cam.camera_height / np.tan(-signal.y_f)
+    z_c = d_floor * np.tan(signal.y_c)
     return cam.camera_height + float(np.median(z_c))
 
 
@@ -218,11 +215,14 @@ class VisibleLayout:
 
     Corners are sorted by increasing column; the two corners of an occlusion
     pair share a column (they lie on one camera ray) and are adjacent in the
-    list, in the order the boundary traverses them. Every cyclic gap between
-    neighbouring columns is below half a turn, so the floor polygon traced
-    through the corners' floor points winds once around the camera, and it
-    is simple. The room is higher than the camera. The occlusion pairs and
-    the floor polygon are worked out once, at construction.
+    list, in the order the boundary traverses them. No other two corners
+    share a column. Every cyclic gap between neighbouring columns is below
+    half a turn, so each edge of the floor polygon traced through the
+    corners' floor points stays inside the wedge between its two corners'
+    rays, and those wedges tile the circle around the camera once: the
+    polygon winds once around the camera and is simple. The room is higher
+    than the camera. The occlusion pairs and the floor polygon are worked
+    out once, at construction.
     """
 
     corners: list[LayoutCorner]
@@ -242,15 +242,16 @@ class VisibleLayout:
         floor = np.array(
             [floor_point(lon, c.floor_lat, self.camera) for lon, c in zip(self.lons(), self.corners)]
         )
+        if not np.isfinite(floor).all():
+            raise AssemblyError("floor polygon has a vertex at infinity")
         object.__setattr__(self, "_floor", floor)
-        if not polygon_is_simple(floor):
-            raise AssemblyError("floor polygon is self-intersecting or degenerate")
 
     def _check_order_and_pairs(self):
         """One walk over the sorted corners: each gap to the next corner,
-        cyclically, is below half a turn; each occlusion corner pairs with
-        the next corner, which must be of the opposite occlusion kind in the
-        same column, and the near corner must be closer than that partner."""
+        cyclically, is below half a turn, and zero only inside an occlusion
+        pair; each occlusion corner pairs with the next corner, which must be
+        of the opposite occlusion kind in the same column, and the near
+        corner must be closer than that partner."""
         corners, n, w = self.corners, len(self.corners), self.grid.width
         h = self.camera.camera_height
         pairs: list[tuple[int, int]] = []
@@ -258,19 +259,19 @@ class VisibleLayout:
             if not 0 <= c.column < w:
                 raise AssemblyError(f"corner column {c.column} outside [0, {w})")
             prev = corners[i - 1]  # for i = 0, the last corner, across the seam
-            if gap_reaches_half_turn(prev.column, c.column + (0 if i else w), w):
+            col = c.column + (0 if i else w)
+            if gap_reaches_half_turn(prev.column, col, w):
                 raise AssemblyError(
                     f"corners at columns {prev.column} and {c.column} leave half a turn "
                     "or more between them, so the layout does not surround its camera"
                 )
-            if i:
-                if c.column < prev.column - 1e-9:
-                    raise AssemblyError("corners not sorted by column")
-                if c.column - prev.column < 1e-9 and not (
-                    c.kind in OCCLUSION_KINDS and prev.kind in OCCLUSION_KINDS
-                ):
-                    raise AssemblyError(f"duplicate corner column {prev.column}")
-            if c.kind is CornerKind.VISIBLE or (pairs and pairs[-1][1] == i):
+            if col < prev.column - 1e-9:
+                raise AssemblyError("corners not sorted by column")
+            closes_pair = bool(pairs) and pairs[-1][1] == i
+            # corners share a column, and so a camera ray, only as an occlusion pair
+            if col - prev.column < 1e-9 and not closes_pair:
+                raise AssemblyError(f"duplicate corner column {prev.column}")
+            if c.kind is CornerKind.VISIBLE or closes_pair:
                 continue
             partner = corners[i + 1] if i + 1 < n else None
             if (

@@ -28,20 +28,19 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Pixel grid of a full 2:1 equirectangular panorama."""
+    """Pixel grid of a full 2:1 equirectangular panorama, set by its width:
+    an even integer >= 4, so the height is a whole number of rows."""
 
     width: int = 1024
-    height: int = 512
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) for n in (self.width, self.height)):
-            raise InputError(f"grid sizes must be integers, got {self.width!r}x{self.height!r}")
-        if self.width < 4 or self.height < 2:
-            raise InputError(f"grid too small: {self.width}x{self.height}")
-        if self.width != 2 * self.height:
-            raise InputError(
-                f"full panorama requires width = 2 * height, got {self.width}x{self.height}"
-            )
+        w = self.width
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 4 or w % 2:
+            raise InputError(f"grid width must be an even integer >= 4, got {w!r}")
+
+    @property
+    def height(self) -> int:
+        return self.width // 2
 
     @property
     def diagonal(self) -> float:

@@ -5,7 +5,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 from panolayout import FIXTURE_FAMILIES
-from panolayout.detect import _CEIL_LAT_RANGE, _FLOOR_LAT_RANGE, _clamp, _extrapolate
+from panolayout.detect import (
+    _CEIL_LAT_RANGE,
+    _EXTREMA_WINDOW,
+    _FLOOR_LAT_RANGE,
+    _clamp,
+    _extrapolate,
+)
 from panolayout.errors import AmbiguityError
 from panolayout.geometry import CornerKind, LayoutCorner, segments_properly_intersect
 from panolayout.panorama import cyclic_column_distance, lat_to_row
@@ -209,7 +215,7 @@ def scalar_occlusion_pair(signal, column, config):
     window read as a Python list, its first largest jump found with
     ``list.index``."""
     w = signal.width
-    half = config.extrema_window
+    half = _EXTREMA_WINDOW
     idx = (int(round(column)) + np.arange(-half, half + 1)) % w
     y = signal.y_f[idx].tolist()
     jumps = [abs(b - a) for a, b in zip(y, y[1:])]

@@ -6,6 +6,8 @@ can be asserted directly; the console-script wrapper adds nothing on top.
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,7 +222,7 @@ class TestEvaluate:
     def test_pair_on_different_grids_skipped_with_status_2(self, tmp_path, run):
         write_corpus(tmp_path / "gt", families=("square",), seeds=(0, 1))
         write_corpus(tmp_path / "pred", families=("square",), seeds=(0,))
-        _, small = render_signal(make_fixture("square", 1), ImageGrid(512, 256))
+        _, small = render_signal(make_fixture("square", 1), ImageGrid(512))
         (tmp_path / "pred" / "square_0001.layout.json").write_text(emit_layout_json(small))
         code, out, err = run(
             "evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")
@@ -495,14 +497,14 @@ class TestRunConfig:
     def test_detect_overrides_flow_through(self, tmp_path, run):
         write_corpus(tmp_path / "in", families=("l_room",), seeds=(0,))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jump_ratio": 1.05, "cluster_radius": 6}))
+        cfg.write_text(json.dumps({"jump_ratio": 1.05, "slope_threshold": 0.02}))
         code, _, _ = run(
             "postprocess", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
             "--config", str(cfg),
         )
         assert code == 0
         signal = parse_signal_file((tmp_path / "in" / "l_room_0000.sig").read_bytes())
-        detect_cfg = DetectConfig(jump_ratio=1.05, cluster_radius=6)
+        detect_cfg = DetectConfig(jump_ratio=1.05, slope_threshold=0.02)
         expected = emit_layout_json(
             postprocess(signal, detect_cfg, mode="ensemble", cam=CameraModel(1.6))
         )
@@ -511,11 +513,16 @@ class TestRunConfig:
 
 BAD_SETTINGS = [
     ("jump_ratio", 0.9),
+    ("jump_ratio", True),
+    ("kink_threshold", "0.008"),
+    # the four column-count keys were removed from DetectConfig
     ("peak_min_separation", 0),
     ("smoothing_width", 2.5),
     ("cluster_radius", "4"),
+    ("extrema_window", 5),
     ("camera_height", -1),
     ("camera_height", "tall"),
+    ("camera_height", True),
     ("mode", "bogus"),
     ("regime", "bogus"),
     ("regime", "non_visible"),  # the key was removed with the visible regime
@@ -541,14 +548,16 @@ class TestSettings:
             "mode",
             "camera_height",
             "peak_threshold",
-            "peak_min_separation",
             "slope_threshold",
             "kink_threshold",
             "jump_ratio",
-            "cluster_radius",
-            "extrema_window",
-            "smoothing_width",
         )
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"any of these (\d+) keys:\n\n(.*?)\n\n", readme, flags=re.S)
+        listed = tuple(re.findall(r"^- `(\w+)`", match[2], flags=re.M))
+        assert (int(match[1]), listed) == (len(CONFIG_KEYS), CONFIG_KEYS)
 
     @pytest.mark.parametrize("command", ["postprocess", "evaluate"])
     @pytest.mark.parametrize("key, value", BAD_SETTINGS)
@@ -560,6 +569,8 @@ class TestSettings:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
+        if key not in CONFIG_KEYS:
+            assert "unknown key" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def kink_candidates(cands):
 def scalar_detect_2d(ys, cfg, boundary):
     """Reference for ``detect_2d``, one column at a time: a row (column, source
     value, strength) for a kink, then one for a slope, in column order."""
-    n, span = len(ys), cfg.smoothing_width
+    n, span = len(ys), detect._SMOOTHING_WIDTH
     smooth = []
     for i in range(n):
         acc = 0.0
@@ -149,7 +149,7 @@ class TestExtractCornerPeaks:
             if not is_peak[i]:
                 continue
             d = [min(abs(i - k), W - abs(i - k)) for k in expect]
-            if all(x >= cfg.min_separation(W) for x in d):
+            if all(x >= W // 64 for x in d):
                 expect.append(i)
         assert got == sorted(expect)
 
@@ -172,10 +172,8 @@ class TestDetectConfig:
             ("kink_threshold", -1.0),
             ("jump_ratio", 1.0),
             ("jump_ratio", "big"),
-            ("peak_min_separation", 0),
-            ("cluster_radius", 2.5),
-            ("extrema_window", "5"),
-            ("smoothing_width", 5.0),
+            ("peak_threshold", True),
+            ("jump_ratio", True),
         ],
     )
     def test_bad_value_rejected_by_name(self, name, value):
@@ -183,10 +181,10 @@ class TestDetectConfig:
             DetectConfig(**{name: value})
 
     def test_numpy_integers_accepted(self):
-        cfg = DetectConfig(cluster_radius=np.int64(6), peak_min_separation=np.int32(3))
-        assert cfg.min_separation(W) == 3
+        cfg = DetectConfig(jump_ratio=np.int64(2), slope_threshold=np.float32(0.5))
+        assert (cfg.jump_ratio, cfg.slope_threshold) == (2, 0.5)
 
-    @pytest.mark.parametrize("name, value", [("extrema_window", 0), ("smoothing_width", 2.5)])
+    @pytest.mark.parametrize("name, value", [("peak_threshold", 0.0), ("jump_ratio", 1.0)])
     def test_frozen(self, name, value):
         # an assignment would bypass the checks above and fail inside postprocess
         cfg = DetectConfig()
@@ -242,11 +240,10 @@ class TestDetect2d:
         st.lists(st.floats(-1.5, -0.01), min_size=3, max_size=96),
         st.floats(0.001, 0.2),
         st.floats(0.001, 0.2),
-        st.integers(1, 7),
     )
-    def test_matches_scalar_reference(self, ys, slope, kink, span):
+    def test_matches_scalar_reference(self, ys, slope, kink):
         # noise fires both tests at many columns, so kink/slope ties are common
-        cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink, smoothing_width=span)
+        cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink)
         for boundary in ("floor", "ceiling"):
             got = detect_2d(np.array(ys), cfg, boundary).tolist()
             assert got == scalar_detect_2d(ys, cfg, boundary)
@@ -375,33 +372,33 @@ class TestEnsemble:
         assert ensemble(_cands([100]), W, corner_peaks=peaks) == [want]
 
     def test_peaks_closer_than_two_radii(self, scalar_snap):
-        # peaks 3 columns apart: the cluster at 101.5 is equidistant from 100
-        # and 103, and the clusters at 107 and 114 both reach the peak at 110
-        cfg = DetectConfig(peak_min_separation=3, cluster_radius=4)
-        y_p = np.zeros(W)
+        # peaks 3 columns apart, the minimum separation at width 192: the
+        # cluster at 101.5 is equidistant from 100 and 103, and the clusters
+        # at 107 and 114 both reach the peak at 110
+        w = 192
+        y_p = np.zeros(w)
         y_p[[100, 103, 110]] = [0.9, 0.8, 0.7]
-        peaks = extract_corner_peaks(y_p, cfg)
+        peaks = extract_corner_peaks(y_p)
         assert peaks == [100, 103, 110]
         cands = _cands([101, 102, 107, 114, 120])
-        got = ensemble(cands, W, cfg, peaks)
+        got = ensemble(cands, w, peaks)
         assert got == [100.0, 110.0, 120.0]
         clusters = [101.5, 107.0, 114.0, 120.0]
-        assert got == scalar_snap(clusters, peaks, W, cfg.cluster_radius)
+        assert got == scalar_snap(clusters, peaks, w, detect._CLUSTER_RADIUS)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_scalar_reference(self, scalar_snap, data):
         # small widths put many clusters across the seam and next to peaks
         width = data.draw(st.integers(8, 200))
-        radius = data.draw(st.integers(1, 6))
+        radius = detect._CLUSTER_RADIUS
         cols = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=30))
         n = len(cols)
         strengths = data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
         peaks = data.draw(st.lists(st.integers(0, width - 1), max_size=8, unique=True))
         cands = _cands(cols, strengths)
         clusters = _cluster_columns(np.array(cols), np.array(strengths), radius, width)
-        cfg = DetectConfig(cluster_radius=radius)
-        assert ensemble(cands, width, cfg, peaks) == scalar_snap(clusters, peaks, width, radius)
+        assert ensemble(cands, width, peaks) == scalar_snap(clusters, peaks, width, radius)
 
     def test_rejects_bad_width(self):
         with pytest.raises(InputError):
@@ -511,13 +508,12 @@ class TestExtractOcclusionPair:
             extract_occlusion_pair(sig, 100, above)
 
     def test_tied_jumps_first_in_window_wins(self):
-        # two jumps of 0.25 straddle the seam; the window runs W-3 .. 3
+        # two jumps of 0.25 straddle the seam; the window runs W-5 .. 5
         y_f = np.full(W, -0.5)
         y_f[[-1, 0]] = -0.25
         sig = BoundarySignal(np.zeros(W), np.full(W, 0.5), y_f)
-        cfg = DetectConfig(extrema_window=3)
         for column in (0, W - 0.5):  # W - 0.5 rounds to W, that is column 0
-            left, right = extract_occlusion_pair(sig, column, cfg)
+            left, right = extract_occlusion_pair(sig, column)
             assert left.column == right.column == W - 1.5
 
     @settings(max_examples=300, deadline=None)
@@ -547,9 +543,8 @@ class TestExtractOcclusionPair:
         at_jump = st.sampled_from(sorted(set(jumps[jumps > 0].tolist())) or [0.25])
         ulp_above = at_jump.map(lambda j: math.nextafter(j, 1.0))
         thr = data.draw(st.floats(1e-3, 0.5) | at_jump | ulp_above)
-        # windows up to twice the width wrap onto themselves
-        half = data.draw(st.integers(1, 2 * w))
-        cfg = DetectConfig(slope_threshold=thr, extrema_window=half)
+        # on widths below 11 the window wraps onto itself
+        cfg = DetectConfig(slope_threshold=thr)
         near_seam = st.floats(w - 0.5, w, exclude_max=True) | st.just(w - 0.5)
         halves = st.integers(0, w - 1).map(lambda c: c + 0.5)  # round half to even
         column = st.floats(0, w, exclude_max=True) | near_seam | halves
@@ -614,13 +609,15 @@ class TestPostprocess:
         self, l_room_case, monkeypatch
     ):
         _, sig, _ = l_room_case
-        cfg = DetectConfig(peak_min_separation=4)
+        cfg = DetectConfig()
         first = postprocess(sig, cfg)
         ((i, _),) = first.occlusion_pairs()
         jump_col = first.corners[i].column
-        # a corner peak 8.5 columns past the jump, out of the pair's reach
+        # a corner peak 8.5 columns past the jump, out of the pair's reach;
+        # at 1.0 it wins over the jump's own peak, 8 columns and so less than
+        # the minimum separation away
         y_p = sig.y_p.copy()
-        y_p[int(jump_col + 8.5)] = 0.9
+        y_p[int(jump_col + 8.5)] = 1.0
         sig = BoundarySignal(y_p, sig.y_c, sig.y_f)
         base = postprocess(sig, cfg)
         assert len(base.corners) == len(first.corners) + 1
@@ -680,8 +677,8 @@ class TestPostprocess:
         blocks = [kind for kind, _ in itertools.groupby(kinds)]
         assert blocks == ["2d_ceiling", "2d_floor", "3d_floor", "3d_ceiling"]
         peaks = tuple(extract_corner_peaks(sig.y_p, cfg))
-        assert ensemble(both, sig.width, cfg, peaks) == ensemble(
-            np.concatenate([only2d, only3d]), sig.width, cfg, peaks
+        assert ensemble(both, sig.width, peaks) == ensemble(
+            np.concatenate([only2d, only3d]), sig.width, peaks
         )
 
 class TestRefinePeakColumn:
@@ -747,25 +744,24 @@ class TestRollFreeNeighbours:
     def test_corner_peaks(self, ys):
         y = np.array(ys)
         want = (y >= np.roll(y, 1)) & (y >= np.roll(y, -1)) & (y >= 0.5)
-        # a minimum separation of one column suppresses no peak
-        cfg = DetectConfig(peak_min_separation=1)
-        assert extract_corner_peaks(y, cfg) == np.flatnonzero(want).tolist()
+        # below width 128 the minimum separation is one column, which
+        # suppresses no peak
+        assert extract_corner_peaks(y) == np.flatnonzero(want).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.sampled_from([-0.5, -0.25]) | st.floats(-1.5, -0.01), min_size=1, max_size=12),
         st.floats(1e-3, 0.2),
         st.floats(1e-3, 0.2),
-        st.integers(1, 7),
     )
-    def test_detect_2d(self, ys, slope, kink, span):
-        y = np.array(ys)
+    def test_detect_2d(self, ys, slope, kink):
+        y, span = np.array(ys), detect._SMOOTHING_WIDTH
         dy = np.abs(np.roll(y, -1) - y)
         smooth = _box_smooth_cyclic(y, span)
         d2 = span * np.abs(np.roll(smooth, -1) - 2 * smooth + np.roll(smooth, 1))
         rows = [(i, "kink2d_floor", d2[i]) for i in np.flatnonzero(d2 > kink).tolist()]
         rows += [(i, "slope2d_floor", dy[i]) for i in np.flatnonzero(dy > slope).tolist()]
-        cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink, smoothing_width=span)
+        cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink)
         assert detect_2d(y, cfg).tolist() == sorted(rows, key=lambda r: r[:2])
 
     @settings(max_examples=200, deadline=None)

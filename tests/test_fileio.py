@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from panolayout import (
     FIXTURE_FAMILIES,
-    AssemblyError,
     BoundarySignal,
     CornerKind,
     EmitError,
@@ -34,8 +33,7 @@ from panolayout import (
     render_signal,
     row_to_lat,
 )
-from panolayout.geometry import LayoutCorner, floor_point, polygon_is_simple
-from panolayout.panorama import col_to_lon
+from panolayout.geometry import LayoutCorner
 from panolayout.synth import make_fixture, perturb_signal
 
 GRID = ImageGrid()
@@ -269,7 +267,7 @@ class TestCornerTxt:
         assert tall.room_height == pytest.approx(2 * truth.room_height, abs=1e-12)
 
     def test_grid_sets_the_latitudes(self):
-        half = ImageGrid(512, 256)
+        half = ImageGrid(512)
         layout = parse_corner_txt("50.0 60.0\n50.0 200.0\n150.0 60.0\n150.0 200.0\n"
                                   "350.0 60.0\n350.0 200.0\n", grid=half)
         assert layout.grid == half
@@ -347,7 +345,35 @@ class TestLayoutJson:
         _, truth = fixture_layouts("square", 2)
         doc = json.loads(emit_layout_json(truth))
         doc["grid"] = dict(zip(("width", "height"), size))
-        with pytest.raises(ParseError, match="integers"):
+        with pytest.raises(ParseError, match="integer"):
+            parse_layout_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("height", [500, 1024, 512.0, "512", True, None])
+    def test_grid_height_not_half_the_width_rejected(self, height):
+        _, truth = fixture_layouts("square", 2)
+        doc = json.loads(emit_layout_json(truth))
+        doc["grid"]["height"] = height
+        with pytest.raises(ParseError, match="grid height must be the integer width // 2"):
+            parse_layout_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [True, "1.5"])
+    @pytest.mark.parametrize(
+        "key", ["column", "ceil_lat", "floor_lat", "camera_height", "room_height"]
+    )
+    def test_non_number_rejected(self, key, value):
+        # float() would read a boolean or a numeric string as a number
+        _, truth = fixture_layouts("square", 2)
+        doc = json.loads(emit_layout_json(truth))
+        corner = doc["corners"][1]
+        (corner if key in corner else doc)[key] = value
+        with pytest.raises(ParseError, match=f"{key} must be a number"):
+            parse_layout_json(json.dumps(doc))
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        _, truth = fixture_layouts("square", 2)
+        doc = json.loads(emit_layout_json(truth))
+        doc["room_height"] = 10**400
+        with pytest.raises(ParseError, match="too large"):
             parse_layout_json(json.dumps(doc))
 
     def test_floor_point_past_the_pole_rejected(self):
@@ -446,17 +472,7 @@ class TestPly:
         assume(all(b - a < 512 for a, b in zip(cols, cols[1:] + [cols[0] + 1024])))
         lat = st.floats(1e-6, math.pi / 2 - 1e-6)
         corners = [LayoutCorner(c, data.draw(lat), -data.draw(lat)) for c in cols]
-        try:
-            layout = VisibleLayout(corners, CameraModel(), 3.2, GRID)
-        except AssemblyError:
-            # only where neighbouring floor points (near the camera) coincide
-            pts = np.array([
-                floor_point(lon, c.floor_lat, CameraModel())
-                for lon, c in zip(col_to_lon(np.array(cols), GRID), corners)
-            ])
-            assert any(np.allclose(a, b) for a, b in zip(pts, np.roll(pts, -1, axis=0)))
-            return
-        assert polygon_is_simple(layout.floor_points())
+        layout = VisibleLayout(corners, CameraModel(), 3.2, GRID)
         verts, floor, ceiling = fan_caps(layout)
         areas = [triangle_signed_area(verts, t) for t in floor]
         assert min(areas) >= 0.0

@@ -34,7 +34,7 @@ CAM = CameraModel(1.6)
 
 
 class TestCameraModel:
-    @pytest.mark.parametrize("height", [0.0, -1.0, math.inf, math.nan, "tall", None])
+    @pytest.mark.parametrize("height", [0.0, -1.0, math.inf, math.nan, "tall", None, True])
     def test_bad_height_rejected_by_name(self, height):
         with pytest.raises(InputError, match="camera_height"):
             CameraModel(height)
@@ -174,7 +174,7 @@ class TestVisibleLayout:
     def test_bow_tie_rejected(self):
         # all corners bunched in one angular wedge with alternating radii: the
         # closing edge sweeps back across the wedge and crosses another wall
-        grid = ImageGrid(64, 32)
+        grid = ImageGrid(64)
         lons = [0.1, 0.2, 0.3, 0.4]
         radii = [2.0, 0.3, 5.0, 0.4]
         corners = [
@@ -185,7 +185,7 @@ class TestVisibleLayout:
             VisibleLayout(corners, CAM, 3.2, grid)
 
     def test_pair_must_be_adjacent(self):
-        grid = ImageGrid(64, 32)
+        grid = ImageGrid(64)
         corners = [
             LayoutCorner(5, 0.5, -0.5, CornerKind.OCCLUSION_NEAR),
             LayoutCorner(20, 0.5, -0.5),
@@ -195,7 +195,7 @@ class TestVisibleLayout:
             VisibleLayout(corners, CAM, 3.2, grid)
 
     def test_near_must_be_closer(self):
-        grid = ImageGrid(64, 32)
+        grid = ImageGrid(64)
         corners = [
             LayoutCorner(5.0, 0.5, -0.4, CornerKind.OCCLUSION_NEAR),  # farther
             LayoutCorner(5.0, 0.5, -0.9, CornerKind.OCCLUSION_FAR),  # nearer
@@ -216,9 +216,35 @@ class TestVisibleLayout:
             _corner(40, 2.0),
             _corner(52, 3.0),
         ]
-        layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64, 32))
+        layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64))
         assert layout.occlusion_pairs() == [(0, 1), (2, 3)]
         assert layout.wall_edges() == [(1, 2), (3, 4), (4, 5), (5, 0)]
+
+    def test_floor_points_next_to_the_camera_accepted(self):
+        # the first and third floor points lie about 1e-16 m from the camera,
+        # within 1e-8 of each other and of the origin, at distinct angles
+        pole = -1.5707963267948963
+        cols, lats = (0.0, 0.25, 0.75, 512.5), (pole, -0.0625, pole, -1.0)
+        layout = VisibleLayout([LayoutCorner(c, 0.5, f) for c, f in zip(cols, lats)], CAM)
+        assert layout.floor_area() > 0
+
+    def test_two_pairs_in_one_column_rejected(self):
+        corners = [
+            _corner(10, 4.0, CornerKind.OCCLUSION_FAR),
+            _corner(10, 2.0, CornerKind.OCCLUSION_NEAR),
+            _corner(10, 1.0, CornerKind.OCCLUSION_NEAR),
+            _corner(10, 3.0, CornerKind.OCCLUSION_FAR),
+            _corner(30, 2.0),
+            _corner(50, 2.0),
+        ]
+        with pytest.raises(AssemblyError, match="duplicate corner column 10"):
+            VisibleLayout(corners, CAM, 3.2, ImageGrid(64))
+
+    def test_shared_column_across_the_seam_rejected(self):
+        # 64 - 1e-10 and 0 are one column on a 64-column grid
+        corners = [_corner(0.0, 2.0), _corner(20, 2.0), _corner(40, 2.0), _corner(64 - 1e-10, 3.0)]
+        with pytest.raises(AssemblyError, match="duplicate corner column"):
+            VisibleLayout(corners, CAM, 3.2, ImageGrid(64))
 
     def test_non_finite_floor_point_rejected(self):
         # tan(5e-324) is 5e-324, so this corner's floor point is (inf, -inf)
@@ -254,7 +280,7 @@ class TestVisibleLayout:
             _corner(60, 3.0, CornerKind.OCCLUSION_FAR),
             _corner(60, 2.0, CornerKind.OCCLUSION_NEAR),
         ]
-        layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64, 32))
+        layout = VisibleLayout(corners, CAM, 3.2, ImageGrid(64))
         assert layout.occlusion_pairs() == [(0, 1), (4, 5)]
         assert layout.wall_edges() == [(1, 2), (2, 3), (3, 4), (5, 0)]
 
@@ -279,7 +305,7 @@ class TestWindsAroundCamera:
         assume(len(cols) >= 3)
         corners = [LayoutCorner(c, 0.5, -0.5) for c in cols]
         with pytest.raises(AssemblyError, match="half a turn"):
-            VisibleLayout(corners, CAM, 3.2, ImageGrid(width, width // 2))
+            VisibleLayout(corners, CAM, 3.2, ImageGrid(width))
 
     def test_gap_just_below_half_a_turn_accepted(self):
         corners = [LayoutCorner(c, 0.5, -0.5) for c in (0.0, 511.75, 767.0)]

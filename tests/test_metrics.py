@@ -319,7 +319,7 @@ class TestPixelError:
 
     def test_column_counts_match_masks_on_row_latitudes(self, rng):
         # boundaries sitting exactly on row latitudes are where > and < bite
-        grid = ImageGrid(64, 32)
+        grid = ImageGrid(64)
         lats = row_to_lat(np.arange(grid.height), grid)
         bounds = []
         for _ in range(2):
@@ -414,7 +414,7 @@ class TestJunctionF:
     def test_one_matching_equals_one_per_threshold(self, metric_oracle, p, q, thresholds):
         # integer points on a 16-column panorama: many tied distances, and
         # thresholds equal to distances such as 1, 2, sqrt(2) and sqrt(5)
-        grid = ImageGrid(16, 8)
+        grid = ImageGrid(16)
         p = np.array(p, dtype=float).reshape(-1, 2)
         q = np.array(q, dtype=float).reshape(-1, 2)
         want = metric_oracle.junction_f(p, q, grid.width, thresholds)
@@ -782,7 +782,7 @@ class TestPlaneF:
         # arbitrary wall edges over arbitrary corner columns: edges that cross
         # the seam, that start or end exactly on an integer column, that are
         # empty, and whose end plus the width rounds onto an integer
-        grid = ImageGrid(width, width // 2)
+        grid = ImageGrid(width)
         corners = [SimpleNamespace(column=c % width) for c in columns]
         edges = [(i % len(corners), j % len(corners)) for i, j in edges]
         layout = SimpleNamespace(corners=corners, wall_edges=lambda: edges)
@@ -835,7 +835,7 @@ class TestEvaluatePair:
         # corner columns are read on each layout's own grid, so no shared grid exists
         room = make_fixture("l_room", 0)
         _, full = render_signal(room)
-        _, half = render_signal(room, ImageGrid(512, 256))
+        _, half = render_signal(room, ImageGrid(512))
         for pred, gt in ((full, half), (half, full)):
             with pytest.raises(InputError, match="different grids"):
                 metric(pred, gt)
@@ -846,8 +846,8 @@ class TestEvaluatePair:
         # ``grid`` places bare points; given with layouts it must be theirs
         room = make_fixture("l_room", 0)
         _, full = render_signal(room)
-        _, half = render_signal(room, ImageGrid(512, 256))
-        for layout, foreign in ((full, ImageGrid(512, 256)), (half, GRID)):
+        _, half = render_signal(room, ImageGrid(512))
+        for layout, foreign in ((full, ImageGrid(512)), (half, GRID)):
             with pytest.raises(InputError, match="not the inputs' own grid"):
                 metric(layout, layout, foreign)
         assert metric(half, half, half.grid) == metric(half, half)
@@ -860,7 +860,7 @@ class TestEvaluatePair:
             signal, noisy, GRID, include_verticals=False
         )
         small = BoundarySignal(np.zeros(64), np.full(64, 0.5), np.full(64, -0.5))
-        assert small.grid == ImageGrid(64, 32)
+        assert small.grid == ImageGrid(64)
         with pytest.raises(InputError, match="not the inputs' own grid"):
             wireframe_f(small, small, GRID, include_verticals=False)
         with pytest.raises(InputError, match="inputs are on different grids"):
@@ -868,7 +868,7 @@ class TestEvaluatePair:
 
     def test_bare_points_scored_on_the_layouts_grid(self):
         # a column 512 over is the same column on a 512-column grid only
-        _, half = render_signal(make_fixture("l_room", 0), ImageGrid(512, 256))
+        _, half = render_signal(make_fixture("l_room", 0), ImageGrid(512))
         pts = corner_image_points(half)
         moved = pts + [512.0, 0.0]
         assert junction_f(moved, half) == 1.0

@@ -141,9 +141,9 @@ class TestRaycast:
         assert np.array_equal(got, metric_oracle.hit_params(origin, dirs, poly))
 
     def test_grid_rays_cached_read_only(self):
-        grid = ImageGrid(64, 32)
+        grid = ImageGrid(64)
         dirs = _grid_rays(grid)
-        assert _grid_rays(ImageGrid(64, 32)) is dirs
+        assert _grid_rays(ImageGrid(64)) is dirs
         assert not dirs.flags.writeable
         lons = col_to_lon(np.arange(64), grid)
         assert np.array_equal(dirs, np.stack([np.cos(lons), np.sin(lons)], axis=1))
@@ -233,7 +233,7 @@ class TestRenderSignal:
     def test_vertex_left_of_column_zero_folds_into_range(self):
         # on a 512-wide grid this vertex longitude maps to column -2.8e-14,
         # which plain % folds onto the width itself instead of just below it
-        grid = ImageGrid(512, 256)
+        grid = ImageGrid(512)
         lon = -3.135456730438251
         assert lon_to_col(lon, grid) % grid.width == grid.width
         room = SyntheticRoom(
@@ -290,7 +290,7 @@ class TestVisibilityBySupersampling:
     def test_transitions_match_truth(self, family, seed):
         room = make_fixture(family, seed)
         truth = truth_layout(room, GRID)
-        fine = ImageGrid(4 * GRID.width, 2 * GRID.width)
+        fine = ImageGrid(4 * GRID.width)
         lons = col_to_lon(np.arange(fine.width), fine)
         dist, edge = raycast(room, lons)
         half_step = math.pi / fine.width
