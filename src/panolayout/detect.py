@@ -155,22 +155,6 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     return sorted(kept)
 
 
-def _box_smooth_cyclic(y: np.ndarray, span: int) -> np.ndarray:
-    """Cyclic box filter; exact under column rotation.
-
-    The shifted copies are added in order of shift, so slices of one cyclic
-    extension of ``y`` give the same sums, bit for bit, as ``np.roll(y, -k)``,
-    for any span. The extension is ``span + 1`` copies of ``y``, about as many
-    values as the loop adds, entered at ``half * (w - 1)``, -half modulo w.
-    """
-    w, half = len(y), span // 2
-    ext = np.concatenate((y,) * (span + 1))[half * (w - 1) :]  # ext[k + half + i] == y[(i + k) % w]
-    acc = np.zeros_like(y)
-    for k in range(-half, span - half):
-        acc += ext[k + half : k + half + w]
-    return acc / span
-
-
 def _source(detector: str, boundary: str) -> str:
     if boundary not in ("floor", "ceiling"):
         raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
@@ -200,15 +184,19 @@ def detect_2d(
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise InputError(f"non-finite boundary value at column {int(bad[0])}")
-    dy = np.abs(np.concatenate((y[1:], y[:1])) - y)
+    w, span, half = len(y), _SMOOTHING_WIDTH, _SMOOTHING_WIDTH // 2
+    step = np.concatenate((y[1:], y[:1])) - y  # step[i] == y[i+1] - y[i], cyclically
+    dy = np.abs(step)
     # Box smoothing spreads a one-column slope change of m over `span` columns,
     # shrinking its second difference to m/span; the rescale by span turns the
     # statistic back into an estimate of the local slope-change rate so the
-    # threshold is in radians per column squared.
-    span = _SMOOTHING_WIDTH
-    smooth = _box_smooth_cyclic(y, span)
-    ext = np.concatenate((smooth[-1:], smooth, smooth[:1]))  # ext[i] == smooth[(i - 1) % w]
-    d2 = span * np.abs(ext[2:] - 2 * smooth + ext[:-2])
+    # threshold is in radians per column squared. In span times the second
+    # difference of the cyclic box mean all but two steps cancel, so it is
+    # exactly |step[i + span - half - 1] - step[i - half - 1]|.
+    ahead, behind = ((span - half - 1) % w, -(half + 1) % w) if w else (0, 0)
+    d2 = np.abs(
+        np.concatenate((step[ahead:], step[:ahead])) - np.concatenate((step[behind:], step[:behind]))
+    )
     kinks = np.flatnonzero(d2 > config.kink_threshold)
     slopes = np.flatnonzero(dy > config.slope_threshold)
     cands = np.concatenate(

@@ -37,7 +37,7 @@ from .geometry import (
     CornerKind,
     LayoutCorner,
     VisibleLayout,
-    floor_distance,
+    _median_height,
 )
 from .metrics import MetricReport
 from .panorama import ImageGrid, lat_to_row, row_to_lat
@@ -146,9 +146,7 @@ def parse_corner_txt(data, grid: ImageGrid | None = None,
         raise ParseError("no corner lines")
     if len(points) % 2:
         raise ParseError(f"line {last_line}: odd number of corner lines ({len(points)})")
-    h = camera.camera_height
     corners = []
-    heights = []
     prev_x = -math.inf
     for k in range(0, len(points), 2):
         (x1, y1, l1), (x2, y2, l2) = points[k], points[k + 1]
@@ -165,10 +163,10 @@ def parse_corner_txt(data, grid: ImageGrid | None = None,
         except RoomLayoutError as e:
             raise ParseError(f"line {l1}: {e}") from None
         corners.append(corner)
-        d = float(floor_distance(corner.floor_lat, h))
-        heights.append(h + d * math.tan(corner.ceil_lat))
+    floor_lats, ceil_lats = [c.floor_lat for c in corners], [c.ceil_lat for c in corners]
+    room_height = _median_height(floor_lats, ceil_lats, camera.camera_height)
     try:
-        return VisibleLayout(corners, camera, float(np.median(heights)), grid)
+        return VisibleLayout(corners, camera, room_height, grid)
     except RoomLayoutError as e:
         raise ParseError(str(e)) from None
 

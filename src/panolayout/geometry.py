@@ -79,41 +79,62 @@ def floor_point(lon: float, floor_lat: float, cam: CameraModel) -> np.ndarray:
 
 
 def floor_distance(floor_lat, camera_height: float):
-    """Horizontal wall distance from a floor latitude (array-friendly)."""
-    return camera_height / np.tan(-np.asarray(floor_lat, dtype=float))
+    """Horizontal wall distance of floor latitude(s) below the horizon, seen
+    from ``camera_height``: ``camera_height / tan(-floor_lat)``.
+
+    The ceiling is the floor mirrored about the camera's height: a ceiling
+    latitude ``y_c`` under a room of height ``H`` is the floor latitude
+    ``-y_c`` seen from ``H - camera_height``, so its distance is
+    ``floor_distance(-y_c, H - camera_height)``. A latitude so close to the
+    horizon that the quotient overflows is at distance ``inf``.
+    """
+    with np.errstate(over="ignore"):
+        return camera_height / np.tan(-np.asarray(floor_lat, dtype=float))
 
 
 def floor_lat_of_distance(d, camera_height: float):
-    """Inverse of :func:`floor_distance`."""
+    """Inverse of :func:`floor_distance`. A ceiling latitude is the mirror
+    image: ``-floor_lat_of_distance(d, H - camera_height)``."""
     return -np.arctan2(camera_height, np.asarray(d, dtype=float))
 
 
 def wall_distance_profile(lats, cam: CameraModel, room_height: float | None = None) -> np.ndarray:
     """Per-column horizontal wall distance from a boundary-latitude profile.
 
-    Floor profiles (all latitudes < 0) use the camera height; ceiling profiles
-    (all latitudes > 0) use ``room_height - camera_height`` and require
-    ``room_height``. A latitude on the wrong side of the horizon is a
-    geometry error naming the offending column.
+    Without ``room_height`` the profile is a floor boundary (latitudes < 0)
+    seen from the camera height; with it, a ceiling boundary (latitudes > 0)
+    seen from ``room_height - camera_height``. A latitude on the wrong side
+    of the horizon, or one so close to it that its wall lies at infinity, is
+    a geometry error naming the offending column.
     """
     lats = np.asarray(lats, dtype=float)
     if lats.ndim != 1 or lats.size == 0:
         raise InputError("latitude profile must be a non-empty 1D array")
-    is_floor = np.count_nonzero(lats < 0) >= np.count_nonzero(lats > 0)
-    bad = np.flatnonzero(lats >= 0 if is_floor else lats <= 0)
-    if bad.size:
-        side = "floor" if is_floor else "ceiling"
-        raise GeometryError(
-            f"{side} latitude on wrong side of horizon at column {bad[0]}"
-        )
-    if is_floor:
-        return cam.camera_height / np.tan(-lats)
     if room_height is None:
-        raise InputError("ceiling profile requires room_height")
-    eff = room_height - cam.camera_height
-    if eff <= 0:
-        raise GeometryError(f"room_height {room_height} not above camera")
-    return eff / np.tan(lats)
+        side, height, floor_lats = "floor", cam.camera_height, lats
+    else:
+        if not room_height > cam.camera_height:
+            raise GeometryError(f"room_height {room_height} not above camera")
+        side, height, floor_lats = "ceiling", room_height - cam.camera_height, -lats
+    bad = np.flatnonzero(~(floor_lats < 0))
+    if bad.size:
+        raise GeometryError(f"{side} latitude on wrong side of horizon at column {bad[0]}")
+    d = floor_distance(floor_lats, height)
+    bad = np.flatnonzero(np.isinf(d))
+    if bad.size:
+        raise GeometryError(
+            f"{side} latitude at column {bad[0]} is too close to the horizon: "
+            "its wall lies at infinity"
+        )
+    return d
+
+
+def _median_height(floor_lats, ceil_lats, camera_height: float) -> float:
+    """Camera height plus the median of the ceiling heights above the camera
+    that paired floor and ceiling latitudes imply: the floor latitude fixes
+    the wall distance, and the ceiling latitude rises over it."""
+    z_c = floor_distance(floor_lats, camera_height) * np.tan(ceil_lats)
+    return camera_height + float(np.median(z_c))
 
 
 def estimate_room_height(signal: "BoundarySignal", cam: CameraModel) -> float:
@@ -125,9 +146,7 @@ def estimate_room_height(signal: "BoundarySignal", cam: CameraModel) -> float:
     """
     if signal.width < 8:
         raise EstimationError(f"room height needs >= 8 columns, got {signal.width}")
-    d_floor = cam.camera_height / np.tan(-signal.y_f)
-    z_c = d_floor * np.tan(signal.y_c)
-    return cam.camera_height + float(np.median(z_c))
+    return _median_height(signal.y_f, signal.y_c, cam.camera_height)
 
 
 # --- small polygon helpers (shared with the synthetic oracle) ---

@@ -37,6 +37,7 @@ class ImageGrid:
         w = self.width
         if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 4 or w % 2:
             raise InputError(f"grid width must be an even integer >= 4, got {w!r}")
+        object.__setattr__(self, "width", int(w))  # a numpy integer is not JSON
 
     @property
     def height(self) -> int:

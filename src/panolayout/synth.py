@@ -28,6 +28,8 @@ from .geometry import (
     CornerKind,
     LayoutCorner,
     VisibleLayout,
+    floor_distance,
+    floor_lat_of_distance,
     point_in_polygon,
     polygon_is_simple,
     polygon_signed_area,
@@ -250,9 +252,8 @@ def render_signal(room: SyntheticRoom, grid: ImageGrid | None = None):
     """
     grid = grid or ImageGrid()
     _, dist = _raycast(room.camera_position, room.floor_polygon, _grid_rays(grid))
-    above = room.room_height - room.camera_height
-    y_c = np.arctan2(above, dist)
-    y_f = -np.arctan2(room.camera_height, dist)
+    y_c = -floor_lat_of_distance(dist, room.room_height - room.camera_height)
+    y_f = floor_lat_of_distance(dist, room.camera_height)
     truth = truth_layout(room, grid)
     peak_cols = [
         c.column
@@ -275,7 +276,7 @@ def layout_boundaries(layout: VisibleLayout):
     """
     h = layout.camera.camera_height
     _, dist = _raycast(np.zeros(2), layout.floor_points(), _grid_rays(layout.grid))
-    return np.arctan2(layout.room_height - h, dist), -np.arctan2(h, dist)
+    return -floor_lat_of_distance(dist, layout.room_height - h), floor_lat_of_distance(dist, h)
 
 
 def perturb_signal(signal, noise_sigma: float, seed: int = 0):
@@ -408,7 +409,7 @@ def _fixture_ok(room: SyntheticRoom, signal, truth: VisibleLayout, expected_pair
             continue
         if cyclic_column_distance(cols[i], cols[j], w) < _MIN_CORNER_SEP:
             return False
-    dist = room.camera_height / np.tan(-signal.y_f)
+    dist = floor_distance(signal.y_f, room.camera_height)
     if dist.min() < _MIN_CAMERA_CLEARANCE:
         return False
     jump_cols = np.array(sorted({cols[p[0]] for p in pairs}), dtype=float)

@@ -21,9 +21,10 @@ from panolayout.detect import (
     extract_occlusion_pair,
     postprocess,
 )
-from panolayout.detect import _box_smooth_cyclic, _cluster_columns, _refine_peak_column
+from panolayout.detect import _cluster_columns, _refine_peak_column
 from panolayout.errors import (
     AmbiguityError,
+    GeometryError,
     InputError,
     ReconstructionError,
 )
@@ -44,23 +45,33 @@ def kink_candidates(cands):
 
 def scalar_detect_2d(ys, cfg, boundary):
     """Reference for ``detect_2d``, one column at a time: a row (column, source
-    value, strength) for a kink, then one for a slope, in column order."""
+    value, strength) for a kink, then one for a slope, in column order. The
+    kink strength is span times the second difference of the cyclic box mean,
+    written as the difference of the two steps that do not cancel."""
     n, span = len(ys), detect._SMOOTHING_WIDTH
-    smooth = []
-    for i in range(n):
-        acc = 0.0
-        for k in range(-(span // 2), span - span // 2):
-            acc += ys[(i + k) % n]
-        smooth.append(acc / span)
+    half = span // 2
+
+    def step(i):
+        return ys[(i + 1) % n] - ys[i % n]
+
     rows = []
     for i in range(n):
-        d2 = span * abs(smooth[(i + 1) % n] - 2 * smooth[i] + smooth[i - 1])
+        d2 = abs(step(i + span - half - 1) - step(i - half - 1))
         if d2 > cfg.kink_threshold:
             rows.append((i, f"kink2d_{boundary}", d2))
-        dy = abs(ys[(i + 1) % n] - ys[i])
+        dy = abs(step(i))
         if dy > cfg.slope_threshold:
             rows.append((i, f"slope2d_{boundary}", dy))
     return rows
+
+
+def box_mean_kinks(ys):
+    """The kink statistic by its definition: span times the second difference
+    of the cyclic box mean over span columns."""
+    n, span = len(ys), detect._SMOOTHING_WIDTH
+    smooth = [sum(ys[(i + k) % n] for k in range(-(span // 2), span - span // 2)) / span
+              for i in range(n)]
+    return [span * abs(smooth[(i + 1) % n] - 2 * smooth[i] + smooth[i - 1]) for i in range(n)]
 
 
 def scalar_detect_3d(ds, cfg, boundary):
@@ -249,14 +260,15 @@ class TestDetect2d:
             assert got == scalar_detect_2d(ys, cfg, boundary)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-1.5, -0.01), min_size=1, max_size=12), st.integers(1, 40))
-    def test_box_smooth_matches_roll_loop(self, ys, span):
-        # spans wider than the curve wrap around it more than once
-        y = np.array(ys)
-        acc = np.zeros_like(y)
-        for k in range(-(span // 2), span - span // 2):
-            acc += np.roll(y, -k)
-        assert _box_smooth_cyclic(y, span).tolist() == (acc / span).tolist()
+    @given(st.lists(st.floats(-1.5, -0.01), min_size=1, max_size=40))
+    def test_kink_matches_box_mean(self, ys):
+        # the step identity equals the box-mean definition up to rounding;
+        # with a negligible threshold every column whose statistic is not
+        # zero fires
+        cands = kink_candidates(detect_2d(np.array(ys), DetectConfig(kink_threshold=1e-300)))
+        got = dict(zip(cands["column"].tolist(), cands["strength"].tolist()))
+        for i, want in enumerate(box_mean_kinks(ys)):
+            assert got.get(i, 0.0) == pytest.approx(want, abs=1e-13)
 
 
 class TestDetect3d:
@@ -476,10 +488,13 @@ class TestExtractOcclusionPair:
         assert (right.kind, right.ceil_lat, right.floor_lat) == (CornerKind.OCCLUSION_NEAR, 0.4, -0.6)
 
     def test_oblique_wall_endpoints_within_2cm(self, corpus):
-        from panolayout.geometry import CameraModel, floor_point
+        from panolayout.geometry import floor_distance
         from panolayout.panorama import col_to_lon
 
-        cam = CameraModel(1.6)
+        def floor_point(column, floor_lat, grid):
+            lon = col_to_lon(column % grid.width, grid)
+            return floor_distance(floor_lat, 1.6) * np.array([math.cos(lon), math.sin(lon)])
+
         checked = 0
         for seed in range(5):
             _, sig, truth = corpus[("l_room", seed)]
@@ -487,8 +502,8 @@ class TestExtractOcclusionPair:
             for i, j in truth.occlusion_pairs():
                 pair = extract_occlusion_pair(sig, truth.corners[i].column, DetectConfig())
                 for got, want in zip(pair, (truth.corners[i], truth.corners[j])):
-                    p = floor_point(col_to_lon(got.column % grid.width, grid), got.floor_lat, cam)
-                    q = floor_point(col_to_lon(want.column % grid.width, grid), want.floor_lat, cam)
+                    p = floor_point(got.column, got.floor_lat, grid)
+                    q = floor_point(want.column, want.floor_lat, grid)
                     assert math.hypot(p[0] - q[0], p[1] - q[1]) < 0.02
                 checked += 1
         assert checked == 5
@@ -593,6 +608,21 @@ class TestPostprocess:
         _, sig, _ = square_case
         with pytest.raises(InputError, match="signal width 1023 "):
             postprocess(BoundarySignal(sig.y_p[:1023], sig.y_c[:1023], sig.y_f[:1023]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("boundary", ["y_c", "y_f"])
+    def test_boundary_at_the_horizon(self, square_case, boundary, mode):
+        # a valid latitude whose wall distance overflows to infinity stops
+        # the plan-space source with a GeometryError naming its column
+        _, sig, _ = square_case
+        curves = {"y_c": sig.y_c.copy(), "y_f": sig.y_f.copy()}
+        curves[boundary][100] = 1e-320 if boundary == "y_c" else -1e-320
+        sig = BoundarySignal(sig.y_p, curves["y_c"], curves["y_f"])
+        if mode == "2d_only":
+            assert isinstance(postprocess(sig, mode=mode), VisibleLayout)
+            return
+        with pytest.raises(GeometryError, match="at column 100 is too close to the horizon"):
+            postprocess(sig, mode=mode)
 
     @pytest.mark.parametrize("sigma", [0.003, 0.005, 0.01])
     def test_noisy_corpus_gives_layout_or_reconstruction_error(self, corpus, sigma):
@@ -756,9 +786,9 @@ class TestRollFreeNeighbours:
     )
     def test_detect_2d(self, ys, slope, kink):
         y, span = np.array(ys), detect._SMOOTHING_WIDTH
-        dy = np.abs(np.roll(y, -1) - y)
-        smooth = _box_smooth_cyclic(y, span)
-        d2 = span * np.abs(np.roll(smooth, -1) - 2 * smooth + np.roll(smooth, 1))
+        step = np.roll(y, -1) - y
+        dy = np.abs(step)
+        d2 = np.abs(np.roll(step, -(span - span // 2 - 1)) - np.roll(step, span // 2 + 1))
         rows = [(i, "kink2d_floor", d2[i]) for i in np.flatnonzero(d2 > kink).tolist()]
         rows += [(i, "slope2d_floor", dy[i]) for i in np.flatnonzero(dy > slope).tolist()]
         cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink)

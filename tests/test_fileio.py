@@ -290,6 +290,14 @@ class TestLayoutJson:
                     b.kind,
                 )
 
+    def test_numpy_width_round_trip(self):
+        # the grid stores a plain int, so the document is JSON and parses back
+        _, truth = render_signal(make_fixture("square", 0), ImageGrid(np.int64(512)))
+        assert type(truth.grid.width) is int
+        back = parse_layout_json(emit_layout_json(truth))
+        assert back.grid == truth.grid == ImageGrid(512)
+        assert back.corners == truth.corners
+
     def test_bytes_accepted(self):
         _, truth = fixture_layouts("square", 2)
         assert len(parse_layout_json(emit_layout_json(truth).encode()).corners) == 4

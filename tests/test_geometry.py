@@ -21,13 +21,12 @@ from panolayout.geometry import (
     estimate_room_height,
     floor_distance,
     floor_lat_of_distance,
-    floor_point,
     point_in_polygon,
     polygon_is_simple,
     polygon_signed_area,
     wall_distance_profile,
 )
-from panolayout.panorama import ImageGrid, lon_to_col
+from panolayout.panorama import ImageGrid, lon_to_col, wrap_col
 from panolayout.synth import SyntheticRoom, perturb_signal, render_signal
 
 CAM = CameraModel(1.6)
@@ -44,26 +43,41 @@ class TestCameraModel:
         assert CameraModel(np.float64(1.5)).camera_height == 1.5
 
 
+def floor_point(lon, floor_lat, cam=CAM):
+    """Floor point of a visible corner at ``lon`` in a layout whose two other
+    corners lie a third of a turn away on either side."""
+    grid = ImageGrid()
+    corners = [
+        LayoutCorner(wrap_col(lon_to_col(lon + k * 2 * math.pi / 3, grid), grid.width), 0.5, lat)
+        for k, lat in ((0, floor_lat), (1, -0.5), (2, -0.5))
+    ]
+    layout = VisibleLayout(
+        sorted(corners, key=lambda c: c.column), cam, 4 * cam.camera_height, grid
+    )
+    return layout.floor_points()[[c.floor_lat for c in layout.corners].index(floor_lat)]
+
+
 class TestFloorPoint:
     def test_45_degree_depression(self):
-        x, y = floor_point(0.0, -math.pi / 4, CAM)
+        x, y = floor_point(0.0, -math.pi / 4)
         assert x == pytest.approx(1.6, abs=1e-12)
         assert y == pytest.approx(0.0, abs=1e-12)
 
     def test_off_axis(self):
-        x, y = floor_point(math.pi / 2, -math.atan(1.6 / 2.0), CAM)
+        x, y = floor_point(math.pi / 2, -math.atan(1.6 / 2.0))
         assert x == pytest.approx(0.0, abs=1e-12)
         assert y == pytest.approx(2.0, abs=1e-12)
 
     def test_nadir_limit(self):
-        x, y = floor_point(0.0, -math.pi / 2 + 1e-9, CAM)
+        x, y = floor_point(0.0, -math.pi / 2 + 1e-9)
         assert math.hypot(x, y) == pytest.approx(1.6e-9, rel=1e-6)
 
     def test_rejects_floor_above_horizon(self):
-        with pytest.raises(GeometryError):
-            floor_point(0.0, 0.01, CAM)
-        with pytest.raises(GeometryError):
-            floor_point(0.0, 0.0, CAM)
+        for lat in (0.01, 0.0):
+            with pytest.raises(GeometryError):
+                floor_point(0.0, lat)
+            with pytest.raises(GeometryError, match="column 0"):
+                wall_distance_profile([lat], CAM)
 
     @given(st.floats(min_value=0.2, max_value=5.0))
     def test_scale_covariance(self, s):
@@ -77,6 +91,43 @@ class TestFloorPoint:
         for lat in np.linspace(-math.pi / 2 + 0.01, -0.01, 200):
             d = floor_distance(lat, 1.6)
             assert floor_lat_of_distance(d, 1.6) == pytest.approx(lat, abs=1e-12)
+
+
+# Latitudes over the open hemispheres, short of the horizon by enough that
+# every wall distance below is finite
+FLOOR_LATS = st.floats(-math.pi / 2, -1e-300, exclude_min=True)
+CEIL_LATS = st.floats(1e-300, math.pi / 2, exclude_max=True)
+HEIGHTS = st.floats(0.1, 10.0)
+
+
+class TestProjection:
+    """``floor_distance`` and ``floor_lat_of_distance`` are the one camera
+    projection; a ceiling is the floor seen from ``room_height - camera_height``
+    with its latitudes negated."""
+
+    @given(st.lists(CEIL_LATS, min_size=1, max_size=16), HEIGHTS, HEIGHTS)
+    def test_ceiling_profile_is_the_mirrored_floor(self, lats, h, above):
+        y_c, room_height = np.array(lats), h + above
+        got = wall_distance_profile(y_c, CameraModel(h), room_height)
+        assert got.tolist() == ((room_height - h) / np.tan(y_c)).tolist()
+
+    @given(st.lists(FLOOR_LATS, min_size=1, max_size=16), HEIGHTS)
+    def test_floor_round_trip(self, lats, h):
+        y_f = np.array(lats)
+        d = wall_distance_profile(y_f, CameraModel(h))
+        assert d.tolist() == floor_distance(y_f, h).tolist()
+        assert floor_lat_of_distance(d, h) == pytest.approx(y_f, abs=1e-12)
+
+    @given(st.lists(CEIL_LATS, min_size=1, max_size=16), HEIGHTS, HEIGHTS)
+    def test_ceiling_round_trip(self, lats, h, above):
+        y_c, room_height = np.array(lats), h + above
+        d = wall_distance_profile(y_c, CameraModel(h), room_height)
+        assert -floor_lat_of_distance(d, room_height - h) == pytest.approx(y_c, abs=1e-12)
+
+    @given(st.lists(CEIL_LATS, min_size=1, max_size=16))
+    def test_ceiling_profile_without_room_height_rejected(self, lats):
+        with pytest.raises(GeometryError, match="floor latitude on wrong side of horizon at column 0"):
+            wall_distance_profile(lats, CAM)
 
 
 class TestWallDistanceProfile:
@@ -100,6 +151,15 @@ class TestWallDistanceProfile:
         lats[17] = 0.3
         with pytest.raises(GeometryError, match="17"):
             wall_distance_profile(lats, CAM)
+
+    @pytest.mark.parametrize("lat, room_height", [(-1e-320, None), (1e-320, 3.0)])
+    def test_boundary_at_the_horizon_names_column(self, lat, room_height):
+        # the wall distance overflows to inf, quietly; the profile names the column
+        assert floor_distance(-abs(lat), 1.6) == math.inf
+        lats = np.full(64, math.copysign(0.5, lat))
+        lats[17] = lat
+        with pytest.raises(GeometryError, match="column 17 is too close to the horizon"):
+            wall_distance_profile(lats, CAM, room_height)
 
 
 class TestEstimateRoomHeight:
