@@ -67,17 +67,6 @@ class LayoutCorner:
             )
 
 
-def floor_point(lon: float, floor_lat: float, cam: CameraModel) -> np.ndarray:
-    """Project a floor-boundary direction to the floor plane (camera at origin).
-
-    The horizontal distance to the wall is ``camera_height / tan(-floor_lat)``.
-    """
-    if floor_lat >= 0:
-        raise GeometryError(f"floor boundary at lat {floor_lat} is not below the horizon")
-    d = cam.camera_height / math.tan(-floor_lat)
-    return np.array([d * math.cos(lon), d * math.sin(lon)])
-
-
 def floor_distance(floor_lat, camera_height: float):
     """Horizontal wall distance of floor latitude(s) below the horizon, seen
     from ``camera_height``: ``camera_height / tan(-floor_lat)``.
@@ -258,12 +247,11 @@ class VisibleLayout:
         if len(self.corners) < 3:
             raise AssemblyError(f"layout needs >= 3 corners, got {len(self.corners)}")
         self._check_order_and_pairs()
-        floor = np.array(
-            [floor_point(lon, c.floor_lat, self.camera) for lon, c in zip(self.lons(), self.corners)]
-        )
-        if not np.isfinite(floor).all():
+        d = floor_distance([c.floor_lat for c in self.corners], h)
+        if not np.isfinite(d).all():
             raise AssemblyError("floor polygon has a vertex at infinity")
-        object.__setattr__(self, "_floor", floor)
+        lons = self.lons()
+        object.__setattr__(self, "_floor", np.stack([d * np.cos(lons), d * np.sin(lons)], axis=1))
 
     def _check_order_and_pairs(self):
         """One walk over the sorted corners: each gap to the next corner,

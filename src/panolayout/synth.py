@@ -194,31 +194,24 @@ def _vertex_views(room: SyntheticRoom) -> list[_VertexView]:
     return views
 
 
-def _corner_from_distance(column: float, dist: float, room: SyntheticRoom, kind) -> LayoutCorner:
-    return LayoutCorner(
-        column,
-        math.atan2(room.room_height - room.camera_height, dist),
-        -math.atan2(room.camera_height, dist),
-        kind,
-    )
-
-
 def truth_layout(room: SyntheticRoom, grid: ImageGrid) -> VisibleLayout:
     """Exact visible layout: visible vertices plus silhouette near/far pairs."""
-    units: list[tuple[float, list[LayoutCorner]]] = []
+    rows: list[tuple[float, float, CornerKind]] = []  # (column, distance, kind)
     for view in _vertex_views(room):
         if not view.visible:
             continue
         col = wrap_col(lon_to_col(view.lon, grid), grid.width)
         if view.silhouette:
-            near = _corner_from_distance(col, view.distance, room, CornerKind.OCCLUSION_NEAR)
-            far = _corner_from_distance(col, view.far_distance, room, CornerKind.OCCLUSION_FAR)
-            pair = [near, far] if view.near_side_lower_lon else [far, near]
-            units.append((col, pair))
+            near = (col, view.distance, CornerKind.OCCLUSION_NEAR)
+            far = (col, view.far_distance, CornerKind.OCCLUSION_FAR)
+            rows += [near, far] if view.near_side_lower_lon else [far, near]
         else:
-            units.append((col, [_corner_from_distance(col, view.distance, room, CornerKind.VISIBLE)]))
-    units.sort(key=lambda u: u[0])
-    corners = [c for _, unit in units for c in unit]
+            rows.append((col, view.distance, CornerKind.VISIBLE))
+    rows.sort(key=lambda r: r[0])  # stable: a pair keeps its boundary order
+    dist = np.array([d for _, d, _ in rows])
+    ceil = (-floor_lat_of_distance(dist, room.room_height - room.camera_height)).tolist()
+    floor = floor_lat_of_distance(dist, room.camera_height).tolist()
+    corners = [LayoutCorner(col, c, f, kind) for (col, _, kind), c, f in zip(rows, ceil, floor)]
     return VisibleLayout(
         corners, CameraModel(room.camera_height), room.room_height, grid
     )

@@ -124,6 +124,21 @@ class TestProjection:
         d = wall_distance_profile(y_c, CameraModel(h), room_height)
         assert -floor_lat_of_distance(d, room_height - h) == pytest.approx(y_c, abs=1e-12)
 
+    @given(st.data())
+    def test_floor_points_lie_at_floor_distance_along_each_ray(self, data):
+        n, h = data.draw(st.integers(3, 8)), data.draw(HEIGHTS)
+        # columns a little past each n-th of the width keep every gap below half a turn
+        offsets = data.draw(st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n))
+        lats = data.draw(st.lists(FLOOR_LATS, min_size=n, max_size=n))
+        corners = [
+            LayoutCorner((k + f) * 1024 / n, 0.5, lat)
+            for k, (f, lat) in enumerate(zip(offsets, lats))
+        ]
+        layout = VisibleLayout(corners, CameraModel(h), h + 1.0)
+        rays = np.stack([np.cos(layout.lons()), np.sin(layout.lons())], axis=1)
+        want = floor_distance(lats, h)[:, None] * rays
+        assert layout.floor_points().tolist() == want.tolist()
+
     @given(st.lists(CEIL_LATS, min_size=1, max_size=16))
     def test_ceiling_profile_without_room_height_rejected(self, lats):
         with pytest.raises(GeometryError, match="floor latitude on wrong side of horizon at column 0"):
@@ -310,6 +325,12 @@ class TestVisibleLayout:
         # tan(5e-324) is 5e-324, so this corner's floor point is (inf, -inf)
         corners = [_corner(100, 2.0), LayoutCorner(300.0, 0.5, -5e-324), _corner(700, 2.0)]
         with pytest.raises(AssemblyError):
+            VisibleLayout(corners, CAM)
+
+    def test_floor_point_at_infinity_on_longitude_zero_rejected(self):
+        # column 511.5 is longitude 0, where inf times sin(0) would be nan
+        corners = [_corner(100, 2.0), LayoutCorner(511.5, 0.5, -5e-324), _corner(700, 2.0)]
+        with pytest.raises(AssemblyError, match="vertex at infinity"):
             VisibleLayout(corners, CAM)
 
     @pytest.mark.parametrize("room_height", [math.nan, math.inf, 1.0, 1.6, 0.0, -3.2])
