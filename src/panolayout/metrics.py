@@ -78,7 +78,7 @@ def _edge_crossing_ys(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     da = np.concatenate([pa[1:], pa[:1]])[:, None, :] - a
     db = np.concatenate([pb[1:], pb[:1]])[None, :, :] - b
     cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = cross(b - a, db) / cross(da, db)
         s = cross(b - a, da) / cross(da, db)
         hit = (t >= 0) & (t <= 1) & (s >= 0) & (s <= 1)

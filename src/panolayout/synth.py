@@ -107,7 +107,7 @@ def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np
     crosses = side != np.concatenate([side[1:], side[:1]])
     proj = wx * dx + wy * dy
     proj_next = np.concatenate([proj[1:], proj[:1]])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = (wx * ey - wy * ex) / (dx * ey - dy * ex)
     s = np.fmin(np.fmax(s, np.minimum(proj, proj_next)), np.maximum(proj, proj_next))
     return np.where(crosses & (s > HIT_EPS), s, np.inf)

@@ -125,6 +125,13 @@ class TestIou2d:
         b = shifted(UNIT_SQUARE, 0.3, 0.2)
         assert iou_2d(a, b) == iou_2d(b, a)
 
+    def test_near_parallel_edges_far_apart(self):
+        # the bottom edge of b rises by 1e-320 over one unit, so its crossing
+        # parameter with a's edges, 5 below, overflows: no crossing, no warning
+        a = shifted(2.0 * UNIT_SQUARE, 0.0, -5.0)
+        b = np.array([[0, 0], [1, 1e-320], [1, 1], [0, 1]], dtype=float)
+        assert iou_2d(a, b) == 0.0
+
     def test_zero_area_rejected(self):
         line = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
         with pytest.raises(MetricError):

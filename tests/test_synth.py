@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panolayout import (
@@ -112,6 +112,9 @@ class TestRaycast:
         st.sampled_from([0.0, 1e-9, -1e-9, 5e-324, -5e-324, 1.0, 1 - 1e-9, 1 + 1e-9, 0.5]),
         st.integers(0, 2**32 - 1),
     )
+    # a ray of subnormal direction, to parameter 5e-324 of an edge that starts
+    # at the origin: its quotients overflow
+    @example(poly=[(0, 0), (0, 2), (2, 0)], origin=(0, 0), k=0, t=5e-324, seed=0)
     def test_hit_params_match_roll_form(self, metric_oracle, poly, origin, k, t, seed):
         # integer polygons of 3-12 vertices, possibly repeated or collinear;
         # rays exactly through every vertex, parallel to every edge, through
