@@ -302,15 +302,38 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def _extrapolate(y: np.ndarray, k: int, toward: int, dist: float, cap: float) -> float:
-    """Boundary value ``dist`` columns beyond column k, following its wall.
+def _wall_corner(
+    signal: BoundarySignal,
+    col: float,
+    cap: float,
+    side: int = 0,
+    kind: CornerKind = CornerKind.VISIBLE,
+) -> LayoutCorner:
+    """Corner at ``col`` on the two walls that meet between its integer columns.
 
-    Continues the line through columns k and k - toward in the `toward`
-    direction. The per-column slope is capped so a second discontinuity
-    inside the stencil cannot fling the estimate off the wall.
+    Each boundary's wall left of ``col`` is continued rightward to it along
+    its last step, and the wall right of it leftward. ``side`` -1 keeps the
+    left wall's values, +1 the right wall's, and 0 their mean: the junction
+    of a plain corner, where interpolating straight across would mix the
+    two walls' slopes and bias the corner inward. The per-column slope is
+    capped so a second discontinuity inside the stencil cannot fling the
+    estimate off the wall, and the latitudes are clamped into their ranges.
     """
-    slope = float(y[k] - y[(k - toward) % len(y)])
-    return float(y[k]) + dist * min(max(slope, -cap), cap)
+    w, k = signal.width, math.floor(col)
+    t = col - k
+    a, b = k % w, (k + 1) % w  # the integer columns either side of col
+    lats = []
+    for y in (signal.y_c, signal.y_f):
+        left, before = float(y[a]), float(y[a - 1])  # index -1 is the last column
+        right, after = float(y[b]), float(y[(b + 1) % w])
+        from_left = left + t * _clamp(left - before, -cap, cap)
+        from_right = right + (1.0 - t) * _clamp(right - after, -cap, cap)
+        lats.append(
+            from_left if side < 0 else from_right if side > 0 else 0.5 * (from_left + from_right)
+        )
+    return LayoutCorner(
+        col, _clamp(lats[0], *_CEIL_LAT_RANGE), _clamp(lats[1], *_FLOOR_LAT_RANGE), kind
+    )
 
 
 def _occlusion_pairs(
@@ -326,24 +349,18 @@ def _occlusion_pairs(
     first = jumps.argmax(axis=1).tolist()  # each window's first largest jump
     found = np.flatnonzero(jumps.max(axis=1) >= max(config.slope_threshold, 1e-12))
 
-    def corner_at(k: int, toward: int, col: float, kind: CornerKind) -> LayoutCorner:
-        ceil = _extrapolate(signal.y_c, k, toward, 0.5, config.slope_threshold)
-        floor = _extrapolate(signal.y_f, k, toward, 0.5, config.slope_threshold)
-        return LayoutCorner(
-            col, _clamp(ceil, *_CEIL_LAT_RANGE), _clamp(floor, *_FLOOR_LAT_RANGE), kind
-        )
-
     near, far = CornerKind.OCCLUSION_NEAR, CornerKind.OCCLUSION_FAR
+    cap = config.slope_threshold
     pairs: list[tuple[LayoutCorner, LayoutCorner] | None] = [None] * len(idx)
     for r in found.tolist():
         j = first[r]
-        a, b = idx[r, j : j + 2].tolist()
         ya, yb = y[r, j : j + 2].tolist()
-        col = (a + 0.5) % w
+        col = (int(idx[r, j]) + 0.5) % w  # the jump midpoint
         left_kind, right_kind = (near, far) if abs(ya) > abs(yb) else (far, near)
-        # toward = +1 extrapolates the left wall rightward onto the jump, -1 the
-        # right wall leftward
-        pairs[r] = (corner_at(a, +1, col, left_kind), corner_at(b, -1, col, right_kind))
+        pairs[r] = (
+            _wall_corner(signal, col, cap, -1, left_kind),
+            _wall_corner(signal, col, cap, +1, right_kind),
+        )
     return pairs
 
 
@@ -418,35 +435,6 @@ def _refine_peak_column(y_p: np.ndarray, p: int) -> float:
     return wrap_col(p + float(np.clip(delta, -0.5, 0.5)), w)
 
 
-def _refined_corner(
-    signal: BoundarySignal, peak: int, config: DetectConfig
-) -> LayoutCorner:
-    """Plain corner at the sub-pixel peak position.
-
-    The boundary value at the junction is estimated by continuing each
-    adjoining wall's curve to the refined column and averaging; interpolating
-    straight across the junction would mix the two walls' slopes and bias the
-    corner inward.
-    """
-    w = signal.width
-    col = _refine_peak_column(np.asarray(signal.y_p), peak)
-    k0 = int(math.floor(col)) % w
-    k1 = (k0 + 1) % w
-    t = col - math.floor(col)
-    cap = config.slope_threshold
-
-    def junction(y: np.ndarray, lo: float, hi: float) -> float:
-        from_left = _extrapolate(y, k0, +1, t, cap)
-        from_right = _extrapolate(y, k1, -1, 1.0 - t, cap)
-        return _clamp(0.5 * (from_left + from_right), lo, hi)
-
-    return LayoutCorner(
-        col,
-        junction(signal.y_c, *_CEIL_LAT_RANGE),
-        junction(signal.y_f, *_FLOOR_LAT_RANGE),
-    )
-
-
 def postprocess(
     signal: BoundarySignal,
     config: DetectConfig | None = None,
@@ -483,7 +471,12 @@ def postprocess(
             pair_cols += [col, jump_col]
     dist = cyclic_column_distance(np.array(pair_cols)[:, None], np.array(peaks)[None, :], w)
     claimed = (dist <= _CLUSTER_RADIUS).any(axis=0).tolist()
-    corners = [_refined_corner(signal, p, config) for p, c in zip(peaks, claimed) if not c]
+    y_p, cap = np.asarray(signal.y_p), config.slope_threshold
+    corners = [
+        _wall_corner(signal, _refine_peak_column(y_p, p), cap)
+        for p, c in zip(peaks, claimed)
+        if not c
+    ]
     corners += [corner for pair in pairs.values() for corner in pair]
     cols = sorted(c.column for c in corners)
     ends = cols[1:] + [c + w for c in cols[:1]]

@@ -93,8 +93,10 @@ def wall_distance_profile(lats, cam: CameraModel, room_height: float | None = No
     Without ``room_height`` the profile is a floor boundary (latitudes < 0)
     seen from the camera height; with it, a ceiling boundary (latitudes > 0)
     seen from ``room_height - camera_height``. A latitude on the wrong side
-    of the horizon, or one so close to it that its wall lies at infinity, is
-    a geometry error naming the offending column.
+    of the horizon, at or beyond its pole (``-pi/2 < y_f < 0`` and
+    ``0 < y_c < pi/2`` hold, as in a ``BoundarySignal``), or so close to the
+    horizon that its wall lies at infinity, is a geometry error naming the
+    first offending column.
     """
     lats = np.asarray(lats, dtype=float)
     if lats.ndim != 1 or lats.size == 0:
@@ -105,9 +107,11 @@ def wall_distance_profile(lats, cam: CameraModel, room_height: float | None = No
         if not room_height > cam.camera_height:
             raise GeometryError(f"room_height {room_height} not above camera")
         side, height, floor_lats = "ceiling", room_height - cam.camera_height, -lats
-    bad = np.flatnonzero(~(floor_lats < 0))
+    bad = np.flatnonzero(~((-np.pi / 2 < floor_lats) & (floor_lats < 0)))
     if bad.size:
-        raise GeometryError(f"{side} latitude on wrong side of horizon at column {bad[0]}")
+        i = bad[0]
+        where = "at or beyond the pole" if floor_lats[i] < 0 else "on wrong side of horizon"
+        raise GeometryError(f"{side} latitude {where} at column {i}")
     d = floor_distance(floor_lats, height)
     bad = np.flatnonzero(np.isinf(d))
     if bad.size:
@@ -194,21 +198,6 @@ def polygon_is_simple(points: np.ndarray) -> bool:
             if segments_properly_intersect(a, b, p[j], p[(j + 1) % n]):
                 return False
     return True
-
-
-def point_in_polygon(point, points: np.ndarray) -> bool:
-    """Even-odd crossing test; boundary points may land on either side."""
-    x, y = float(point[0]), float(point[1])
-    inside = False
-    n = len(points)
-    for i in range(n):
-        x1, y1 = points[i]
-        x2, y2 = points[(i + 1) % n]
-        if (y1 <= y) != (y2 <= y):
-            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if xc > x:
-                inside = not inside
-    return inside
 
 
 def gap_reaches_half_turn(a: float, b: float, width: int) -> bool:

@@ -30,7 +30,6 @@ from .geometry import (
     VisibleLayout,
     floor_distance,
     floor_lat_of_distance,
-    point_in_polygon,
     polygon_is_simple,
     polygon_signed_area,
 )
@@ -38,6 +37,7 @@ from .panorama import ImageGrid, col_to_lon, cyclic_column_distance, lon_to_col,
 
 HIT_EPS = 1e-9
 VIS_EPS = 1e-6
+_PARITY_RAY = np.array([[1.0, 0.0]])  # the ray along +x that decides containment
 
 
 def _min_edge_distance(point: np.ndarray, polygon: np.ndarray) -> float:
@@ -75,17 +75,14 @@ class SyntheticRoom:
             raise InputError("floor_polygon must be counterclockwise")
         if cam.shape != (2,):
             raise InputError("camera_position must be a 2-vector")
-        # the even-odd test alone can classify boundary points as inside
-        if not point_in_polygon(cam, poly) or _min_edge_distance(cam, poly) < 1e-9:
+        # ray parity alone can classify boundary points as inside
+        crossings = np.isfinite(_hit_params(cam, _PARITY_RAY, poly)).sum()
+        if crossings % 2 == 0 or _min_edge_distance(cam, poly) < 1e-9:
             raise InputError("camera_position is not strictly inside the polygon")
         if not 0 < self.camera_height < self.room_height:
             raise InputError(
                 f"need 0 < camera_height < room_height, got {self.camera_height}, {self.room_height}"
             )
-
-    def diameter(self) -> float:
-        d = self.floor_polygon[:, None, :] - self.floor_polygon[None, :, :]
-        return float(np.sqrt((d**2).sum(-1)).max())
 
 
 def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -93,7 +90,8 @@ def _hit_params(origin: np.ndarray, dirs: np.ndarray, polygon: np.ndarray) -> np
 
     An edge is hit where its two ends lie on different sides of the ray's
     line; each vertex has one side per ray, shared by both of its edges, so
-    a ray through a vertex where the boundary crosses it hits one edge. s is
+    a ray through a vertex where the boundary crosses it hits one edge, and
+    the parity of a ray's finite hits tells whether its origin is inside. s is
     held between the ends' projections on the ray, where the hit lies: on an
     edge along the ray, such as an occlusion edge, its quotient is noise.
     """
@@ -142,72 +140,51 @@ def raycast(room: SyntheticRoom, lons) -> tuple[np.ndarray, np.ndarray]:
     return dist, s.argmin(axis=0)
 
 
-@dataclass(frozen=True)
-class _VertexView:
-    """How one polygon vertex looks from the camera."""
+def truth_layout(room: SyntheticRoom, grid: ImageGrid) -> VisibleLayout:
+    """Exact visible layout: visible vertices plus silhouette near/far pairs.
 
-    index: int
-    lon: float
-    distance: float
-    visible: bool
-    silhouette: bool  # both incident edges on one side of the camera ray
-    near_side_lower_lon: bool  # near wall occupies the lower-longitude side
-    far_distance: float  # hit beyond the vertex (silhouettes only), else nan
-
-
-def _vertex_views(room: SyntheticRoom) -> list[_VertexView]:
-    poly = room.floor_polygon
-    cam = room.camera_position
-    n = len(poly)
+    One :func:`_hit_params` matrix over the vertex rays classifies every
+    vertex at once. A vertex is visible where no wall is hit before it. A
+    visible vertex is a silhouette where both its walls lie on one side of
+    its ray; it becomes a near/far pair with the first wall hit beyond it,
+    near corner first where the near wall lies on the lower-longitude side.
+    A camera ray along a wall at a visible vertex, or a silhouette without a
+    wall behind it, is a geometry error naming the first such vertex.
+    """
+    poly, cam = room.floor_polygon, room.camera_position
     rel = poly - cam
     r = np.sqrt((rel**2).sum(axis=1))
-    lons = np.arctan2(rel[:, 1], rel[:, 0])
     dirs = rel / r[:, None]
     s = _hit_params(cam, dirs, poly)
-    nearest = s.min(axis=0)
-    views = []
-    for i in range(n):
-        visible = nearest[i] >= r[i] - VIS_EPS
-        silhouette = False
-        near_lower = False
-        far = math.nan
-        if visible:
-            u = dirs[i]
-            a = poly[(i - 1) % n] - poly[i]
-            b = poly[(i + 1) % n] - poly[i]
-            ca = u[0] * a[1] - u[1] * a[0]
-            cb = u[0] * b[1] - u[1] * b[0]
-            if abs(ca) < 1e-9 * np.linalg.norm(a) or abs(cb) < 1e-9 * np.linalg.norm(b):
-                raise GeometryError(
-                    f"camera ray collinear with a wall at vertex {i}; reposition the camera"
-                )
-            if ca * cb > 0:
-                silhouette = True
-                near_lower = ca < 0
-                beyond = np.where(s[:, i] > r[i] + VIS_EPS, s[:, i], np.inf)
-                far = float(beyond.min())
-                if not math.isfinite(far):
-                    raise GeometryError(f"no wall behind silhouette vertex {i}")
-        views.append(
-            _VertexView(i, float(lons[i]), float(r[i]), bool(visible), silhouette, near_lower, far)
-        )
-    return views
-
-
-def truth_layout(room: SyntheticRoom, grid: ImageGrid) -> VisibleLayout:
-    """Exact visible layout: visible vertices plus silhouette near/far pairs."""
+    visible = s.min(axis=0) >= r - VIS_EPS
+    # each vertex ray's cross products with its walls to the previous and the next vertex
+    prev, nxt = np.roll(poly, 1, axis=0) - poly, np.roll(poly, -1, axis=0) - poly
+    ca = dirs[:, 0] * prev[:, 1] - dirs[:, 1] * prev[:, 0]
+    cb = dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0]
+    collinear = visible & (
+        (np.abs(ca) < 1e-9 * np.hypot(prev[:, 0], prev[:, 1]))
+        | (np.abs(cb) < 1e-9 * np.hypot(nxt[:, 0], nxt[:, 1]))
+    )
+    silhouette = visible & (ca * cb > 0)
+    far = np.where(s > r + VIS_EPS, s, np.inf).min(axis=0)
+    bad = np.flatnonzero(collinear | (silhouette & np.isinf(far)))
+    if bad.size:
+        i = bad[0]
+        if collinear[i]:
+            raise GeometryError(
+                f"camera ray collinear with a wall at vertex {i}; reposition the camera"
+            )
+        raise GeometryError(f"no wall behind silhouette vertex {i}")
+    cols = wrap_col(lon_to_col(np.arctan2(rel[:, 1], rel[:, 0]), grid), grid.width).tolist()
     rows: list[tuple[float, float, CornerKind]] = []  # (column, distance, kind)
-    for view in _vertex_views(room):
-        if not view.visible:
-            continue
-        col = wrap_col(lon_to_col(view.lon, grid), grid.width)
-        if view.silhouette:
-            near = (col, view.distance, CornerKind.OCCLUSION_NEAR)
-            far = (col, view.far_distance, CornerKind.OCCLUSION_FAR)
-            rows += [near, far] if view.near_side_lower_lon else [far, near]
+    for i in np.flatnonzero(visible).tolist():
+        if silhouette[i]:
+            near = (cols[i], r[i], CornerKind.OCCLUSION_NEAR)
+            behind = (cols[i], far[i], CornerKind.OCCLUSION_FAR)
+            rows += [near, behind] if ca[i] < 0 else [behind, near]
         else:
-            rows.append((col, view.distance, CornerKind.VISIBLE))
-    rows.sort(key=lambda r: r[0])  # stable: a pair keeps its boundary order
+            rows.append((cols[i], r[i], CornerKind.VISIBLE))
+    rows.sort(key=lambda row: row[0])  # stable: a pair keeps its boundary order
     dist = np.array([d for _, d, _ in rows])
     ceil = (-floor_lat_of_distance(dist, room.room_height - room.camera_height)).tolist()
     floor = floor_lat_of_distance(dist, room.camera_height).tolist()
@@ -394,12 +371,7 @@ def _fixture_ok(room: SyntheticRoom, signal, truth: VisibleLayout, expected_pair
         return False
     w = truth.grid.width
     cols = [c.column for c in truth.corners]
-    pair_positions = {i for p in pairs for i in p}
-    n = len(cols)
-    for i in range(n):
-        j = (i + 1) % n
-        if i in pair_positions and j in pair_positions and abs(cols[i] - cols[j]) < 1e-6:
-            continue
+    for i, j in truth.wall_edges():
         if cyclic_column_distance(cols[i], cols[j], w) < _MIN_CORNER_SEP:
             return False
     dist = floor_distance(signal.y_f, room.camera_height)

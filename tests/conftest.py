@@ -5,13 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from panolayout import FIXTURE_FAMILIES
-from panolayout.detect import (
-    _CEIL_LAT_RANGE,
-    _EXTREMA_WINDOW,
-    _FLOOR_LAT_RANGE,
-    _clamp,
-    _extrapolate,
-)
+from panolayout.detect import _CEIL_LAT_RANGE, _EXTREMA_WINDOW, _FLOOR_LAT_RANGE, _clamp
 from panolayout.errors import AmbiguityError
 from panolayout.geometry import CornerKind, LayoutCorner, segments_properly_intersect
 from panolayout.panorama import cyclic_column_distance, lat_to_row
@@ -148,6 +142,12 @@ def tree_chamfer():
     return SimpleNamespace(points=tree_wireframe_points, nearest=tree_nearest_distances)
 
 
+@pytest.fixture(scope="session")
+def containment_oracle():
+    """The even-odd crossing loop, ``containment_oracle(point, points)``."""
+    return even_odd_contains
+
+
 def allclose_polygon_is_simple(points: np.ndarray) -> bool:
     """Reference for ``polygon_is_simple``: the all-pairs edge test on numpy
     rows, with ``np.allclose`` for the zero-length edge test."""
@@ -164,6 +164,24 @@ def allclose_polygon_is_simple(points: np.ndarray) -> bool:
             if segments_properly_intersect(*edges[i], *edges[j]):
                 return False
     return True
+
+
+def even_odd_contains(point, points) -> bool:
+    """Reference for ``SyntheticRoom``'s containment test: the even-odd
+    crossing loop along the horizontal ray to +x, an edge crossing where its
+    ends lie on either side of the ray's line under ``y1 <= y``. Points on
+    the boundary may land on either side."""
+    x, y = float(point[0]), float(point[1])
+    inside = False
+    n = len(points)
+    for i in range(n):
+        x1, y1 = points[i]
+        x2, y2 = points[(i + 1) % n]
+        if (y1 <= y) != (y2 <= y):
+            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if xc > x:
+                inside = not inside
+    return inside
 
 
 @pytest.fixture(scope="session")
@@ -213,7 +231,8 @@ def cluster_oracle():
 def scalar_occlusion_pair(signal, column, config):
     """Reference for ``extract_occlusion_pair`` at a column in [0, width): the
     window read as a Python list, its first largest jump found with
-    ``list.index``."""
+    ``list.index``, and each wall continued half a column onto the jump
+    along its own capped last step."""
     w = signal.width
     half = _EXTREMA_WINDOW
     idx = (int(round(column)) + np.arange(-half, half + 1)) % w
@@ -227,10 +246,14 @@ def scalar_occlusion_pair(signal, column, config):
     a, b = int(idx[j]), int(idx[j + 1])
     col = (a + 0.5) % w
     cap = config.slope_threshold
+    y_c, y_f = signal.y_c.tolist(), signal.y_f.tolist()
 
     def corner_at(k, toward, kind):
-        ceil = _extrapolate(signal.y_c, k, toward, 0.5, cap)
-        floor = _extrapolate(signal.y_f, k, toward, 0.5, cap)
+        # toward = +1 continues the wall through k - 1 and k rightward, -1 the
+        # wall through k + 1 and k leftward
+        ceil, floor = (
+            v[k] + 0.5 * min(max(v[k] - v[(k - toward) % w], -cap), cap) for v in (y_c, y_f)
+        )
         return LayoutCorner(
             col, _clamp(ceil, *_CEIL_LAT_RANGE), _clamp(floor, *_FLOOR_LAT_RANGE), kind
         )

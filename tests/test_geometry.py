@@ -21,7 +21,6 @@ from panolayout.geometry import (
     estimate_room_height,
     floor_distance,
     floor_lat_of_distance,
-    point_in_polygon,
     polygon_is_simple,
     polygon_signed_area,
     wall_distance_profile,
@@ -166,6 +165,21 @@ class TestWallDistanceProfile:
         lats[17] = 0.3
         with pytest.raises(GeometryError, match="17"):
             wall_distance_profile(lats, CAM)
+
+    @pytest.mark.parametrize("room_height", [None, 3.0])
+    def test_latitude_at_or_beyond_the_pole_names_column(self, room_height):
+        # a floor latitude in (-pi/2, 0), a ceiling one in (0, pi/2): at or past
+        # the pole a wall would lie at a distance of about 0 or below it
+        sign = 1.0 if room_height else -1.0
+        for lat in (math.pi / 2, 2.0, math.inf):
+            lats = np.full(64, 0.5 * sign)
+            lats[17] = sign * lat
+            with pytest.raises(GeometryError, match="at or beyond the pole at column 17"):
+                wall_distance_profile(lats, CAM, room_height)
+        lats = np.full(64, 0.5 * sign)
+        lats[17] = sign * np.nextafter(math.pi / 2, 0.0)
+        d = wall_distance_profile(lats, CAM, room_height)
+        assert 0 < d[17] < 1e-15 and np.all(d > 0)
 
     @pytest.mark.parametrize("lat, room_height", [(-1e-320, None), (1e-320, 3.0)])
     def test_boundary_at_the_horizon_names_column(self, lat, room_height):
@@ -467,15 +481,6 @@ class TestPolygonHelpers:
     def test_non_finite_vertex_not_simple(self, bad):
         assert not polygon_is_simple(np.array([[0.0, 0.0], [bad, 0.0], [1.0, 1.0]]))
 
-    def test_point_in_polygon(self):
-        sq = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
-        assert point_in_polygon(np.array([1.0, 1.0]), sq)
-        assert not point_in_polygon(np.array([3.0, 1.0]), sq)
-
-    def test_point_in_concave_polygon(self):
-        ell = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
-        assert point_in_polygon(np.array([1.0, 3.0]), ell)
-        assert not point_in_polygon(np.array([3.0, 3.0]), ell)
 
 
 @st.composite

@@ -1,10 +1,11 @@
 """Forward model: ray casting, visibility, fixture families, perturbation."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from panolayout import (
@@ -30,7 +31,15 @@ from panolayout import (
     truth_layout,
 )
 from panolayout.panorama import cyclic_column_distance
-from panolayout.synth import FIXTURE_FAMILIES, _grid_rays, _hit_params, make_fixture
+from panolayout.geometry import polygon_is_simple
+from panolayout.synth import (
+    _PARITY_RAY,
+    FIXTURE_FAMILIES,
+    _grid_rays,
+    _hit_params,
+    _min_edge_distance,
+    make_fixture,
+)
 
 GRID = ImageGrid()
 
@@ -74,8 +83,42 @@ class TestSyntheticRoom:
         with pytest.raises(InputError):
             SyntheticRoom(poly, 3.0, np.array([1.0, 1.0]), camera_height=0.0)
 
-    def test_diameter(self):
-        assert centered_square().diameter() == pytest.approx(3.2 * math.sqrt(2), abs=1e-12)
+    def test_camera_inside_square(self):
+        poly = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
+        SyntheticRoom(poly, 3.0, np.array([1.0, 1.0]))
+        with pytest.raises(InputError, match="strictly inside"):
+            SyntheticRoom(poly, 3.0, np.array([3.0, 1.0]))
+
+    def test_camera_inside_concave_room(self):
+        ell = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
+        SyntheticRoom(ell, 3.0, np.array([1.0, 3.0]))
+        with pytest.raises(InputError, match="strictly inside"):
+            SyntheticRoom(ell, 3.0, np.array([3.0, 3.0]))  # in the notch
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=10, unique=True
+        )
+    )
+    def test_ray_parity_matches_even_odd_loop(self, containment_oracle, pts):
+        # integer vertices sorted by angle about their mean make a simple star
+        # polygon; the half-integer grid of points holds points level with
+        # every vertex, whose rays pass through it
+        poly = np.array(pts, dtype=float)
+        rel = poly - poly.mean(axis=0)
+        poly = poly[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))]
+        assume(polygon_is_simple(poly))
+        checked = 0
+        for x in np.arange(-6.5, 7.0, 0.5):
+            for y in np.arange(-6.5, 7.0, 0.5):
+                point = np.array([x, y])
+                if _min_edge_distance(point, poly) < 1e-9:
+                    continue
+                crossings = np.isfinite(_hit_params(point, _PARITY_RAY, poly)).sum()
+                assert bool(crossings % 2) == containment_oracle(point, poly), (x, y)
+                checked += 1
+        assert checked > 600
 
 
 class TestRaycast:
@@ -251,6 +294,16 @@ class TestRenderSignal:
         assert all(0 <= c < grid.width for c in cols)
         assert cols[0] == 0.0
 
+    def test_silhouette_without_wall_behind_raises(self):
+        # vertex 4 is seen past the thin spike between vertices 3 and 5; the
+        # only wall beyond it, the right one, lies within 1e-6 m of it
+        poly = np.array(
+            [[0, 0], [5 + 5e-7, 0], [5 + 5e-7, 10], [4.999, 10], [5, 1], [4.99, 10], [0, 10]]
+        )
+        room = SyntheticRoom(poly, 3.0, np.array([1.0, 1.0]))
+        with pytest.raises(GeometryError, match="^no wall behind silhouette vertex 4$"):
+            truth_layout(room, GRID)
+
     def test_collinear_camera_ray_raises(self):
         # camera straight below the reflex vertex: the ray runs along a wall
         room = hand_l_room(cam=(2.0, 1.0))
@@ -396,6 +449,11 @@ class TestPerturbSignal:
         assert iou_2d(pred, truth) > 0.98
 
 
+# Truth drift fails here; a change that moves the truth on purpose updates
+# this value and says so in CHANGES.md.
+TRUTH_DIGEST = "3b76f2fbab9cb2367cff80d36d7b60eb7516b90c13c1289cdb5f34e544c61a92"
+
+
 class TestMakeFixture:
     def test_deterministic(self):
         a = make_fixture("t_room", 9)
@@ -411,6 +469,17 @@ class TestMakeFixture:
     def test_negative_seed_rejected(self):
         with pytest.raises(InputError, match="seed"):
             make_fixture("square", -1)
+
+    def test_truth_corners_pinned(self, corpus):
+        # column, both latitudes and kind of every truth corner of seeds 0 and
+        # 1 of each family, bit for bit
+        h = hashlib.sha256()
+        for family in FIXTURE_FAMILIES:
+            for seed in (0, 1):
+                for c in corpus[(family, seed)][2].corners:
+                    lats = f"{c.column.hex()} {c.ceil_lat.hex()} {c.floor_lat.hex()}"
+                    h.update(f"{lats} {c.kind.value}\n".encode())
+        assert h.hexdigest() == TRUTH_DIGEST
 
     def test_expected_pair_counts(self):
         expected = {"square": 0, "rectangle": 0, "pentagon": 0, "hexagon": 0, "l_room": 1, "t_room": 2}
