@@ -30,7 +30,7 @@ from .geometry import (
     gap_reaches_half_turn,
     wall_distance_profile,
 )
-from .panorama import ImageGrid, cyclic_column_distance, wrap_col
+from .panorama import ImageGrid, cyclic_column_distance
 
 HALF_PI = np.pi / 2
 
@@ -161,12 +161,6 @@ def _source(detector: str, boundary: str) -> str:
     return DiscontinuitySource(f"{detector}_{boundary}").value
 
 
-def _candidates(columns: np.ndarray, source: str, strengths: np.ndarray) -> np.ndarray:
-    cands = np.empty(len(columns), CANDIDATE_DTYPE)
-    cands["column"], cands["source"], cands["strength"] = columns, source, strengths
-    return cands
-
-
 def detect_2d(
     y, config: DetectConfig | None = None, boundary: str = "floor"
 ) -> np.ndarray:
@@ -186,7 +180,6 @@ def detect_2d(
         raise InputError(f"non-finite boundary value at column {int(bad[0])}")
     w, span, half = len(y), _SMOOTHING_WIDTH, _SMOOTHING_WIDTH // 2
     step = np.concatenate((y[1:], y[:1])) - y  # step[i] == y[i+1] - y[i], cyclically
-    dy = np.abs(step)
     # Box smoothing spreads a one-column slope change of m over `span` columns,
     # shrinking its second difference to m/span; the rescale by span turns the
     # statistic back into an estimate of the local slope-change rate so the
@@ -194,16 +187,20 @@ def detect_2d(
     # difference of the cyclic box mean all but two steps cancel, so it is
     # exactly |step[i + span - half - 1] - step[i - half - 1]|.
     ahead, behind = ((span - half - 1) % w, -(half + 1) % w) if w else (0, 0)
-    d2 = np.abs(
+    # Column i's kink statistic and slope sit side by side, so the flat order
+    # of the entries over their thresholds is the (column, source) order.
+    stats, over = np.empty((w, 2)), np.empty((w, 2), bool)
+    stats[:, 0] = np.abs(
         np.concatenate((step[ahead:], step[:ahead])) - np.concatenate((step[behind:], step[:behind]))
     )
-    kinks = np.flatnonzero(d2 > config.kink_threshold)
-    slopes = np.flatnonzero(dy > config.slope_threshold)
-    cands = np.concatenate(
-        [_candidates(kinks, kink_src, d2[kinks]), _candidates(slopes, slope_src, dy[slopes])]
-    )
-    # a stable sort of kinks-then-slopes is the (column, source) order
-    return cands[np.argsort(cands["column"], kind="stable")]
+    stats[:, 1] = np.abs(step)
+    np.greater(stats[:, 0], config.kink_threshold, out=over[:, 0])
+    np.greater(stats[:, 1], config.slope_threshold, out=over[:, 1])
+    fired = over.ravel().nonzero()[0]
+    cands = np.empty(len(fired), CANDIDATE_DTYPE)
+    cands["column"], cands["source"], cands["strength"] = fired >> 1, kink_src, stats.ravel()[fired]
+    cands["source"][(fired & 1).astype(bool)] = slope_src
+    return cands
 
 
 def detect_3d(
@@ -225,32 +222,40 @@ def detect_3d(
     nxt = np.concatenate((d[1:], d[:1]))
     ratio = np.maximum(d, nxt) / np.minimum(d, nxt)
     cols = np.flatnonzero(ratio > config.jump_ratio)
-    return _candidates(cols, src, ratio[cols])
+    cands = np.empty(len(cols), CANDIDATE_DTYPE)
+    cands["column"], cands["source"], cands["strength"] = cols, src, ratio[cols]
+    return cands
 
 
 def _cluster_columns(
     columns: np.ndarray, strengths: np.ndarray, radius: int, width: int
 ) -> list[float]:
     """Single-linkage cyclic clustering; each cluster -> strength-weighted mean."""
-    order = np.argsort(columns, kind="stable")
-    cols = columns[order].astype(float)
-    wts = strengths[order].astype(float)
+    cols = columns.astype(float)  # contiguous, also when read from a record field
+    order = np.argsort(cols, kind="stable")
+    cols, wts = cols[order], strengths.astype(float)[order]
     n = len(cols)
     if n == 0:
         return []
-    gaps = np.diff(cols, append=cols[0] + width)
+    gaps = np.concatenate((cols[1:], cols[:1] + width)) - cols
     breaks = np.flatnonzero(gaps > radius)
     # Chains in order from the first column after the last break, so a chain
     # across the seam comes first; without a break one chain runs around the
     # whole circle. Only that first chain has columns to unwrap.
     start = int(breaks[-1] + 1) % n if breaks.size else 0
-    ends = ((breaks - start) % n + 1).tolist() if breaks.size else [n]
+    ends = (breaks - start) % n + 1 if breaks.size else np.array([n])
     c, wts = (np.concatenate((a[start:], a[:start])) for a in (cols, wts))
     c[n - start : ends[0]] += width
-    # np.average per chain, without the split: sum(c * w) / sum(w)
-    prod = np.multiply(c, wts)
-    bounds = zip([0] + ends[:-1], ends)
-    return sorted(float(prod[a:b].sum() / wts[a:b].sum()) % width for a, b in bounds)
+    # np.average per chain, sum(c * w) / sum(w), in one reduceat. Each chain
+    # is laid out behind a 0.0, and reduceat starts from that 0.0 and adds the
+    # chain in one pairwise sum, as .sum() does, so the sums are bit-identical.
+    k = len(ends)
+    starts = np.concatenate(([0], ends[:-1]))
+    rows = np.zeros((2, n + k))  # c * w, then w, each chain behind a 0.0
+    at = np.arange(1, n + 1) + np.repeat(np.arange(k), ends - starts)
+    rows[0][at], rows[1][at] = c * wts, wts
+    prod, weight = np.add.reduceat(rows, starts + np.arange(k), axis=1)
+    return np.sort(prod / weight % width).tolist()
 
 
 def ensemble(
@@ -413,7 +418,8 @@ def candidates_for_mode(
         d_ceil = wall_distance_profile(signal.y_c, cam, room_height)
         parts.append(detect_3d(d_floor, config, boundary="floor"))
         parts.append(detect_3d(d_ceil, config, boundary="ceiling"))
-    return np.concatenate(parts)
+    # with the dtype given, np.concatenate skips promoting the record fields
+    return np.concatenate(parts, dtype=CANDIDATE_DTYPE)
 
 
 def _refine_peak_column(y_p: np.ndarray, p: int) -> float:
@@ -425,14 +431,14 @@ def _refine_peak_column(y_p: np.ndarray, p: int) -> float:
     """
     w = len(y_p)
     window = y_p[[(p - 1) % w, p, (p + 1) % w]]
-    if np.any(window <= 0):
+    if any(v <= 0 for v in window.tolist()):
         return float(p)
-    l0, l1, l2 = np.log(window)
+    l0, l1, l2 = np.log(window).tolist()  # math.log can differ in the last bit
     denom = l0 - 2.0 * l1 + l2
     if denom >= -1e-12:
         return float(p)
-    delta = 0.5 * (l0 - l2) / denom
-    return wrap_col(p + float(np.clip(delta, -0.5, 0.5)), w)
+    col = (p + _clamp(0.5 * (l0 - l2) / denom, -0.5, 0.5)) % w
+    return 0.0 if col == w else col  # as wrap_col: just below 0, % gives w
 
 
 def postprocess(

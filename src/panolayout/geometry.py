@@ -127,7 +127,13 @@ def _median_height(floor_lats, ceil_lats, camera_height: float) -> float:
     that paired floor and ceiling latitudes imply: the floor latitude fixes
     the wall distance, and the ceiling latitude rises over it."""
     z_c = floor_distance(floor_lats, camera_height) * np.tan(ceil_lats)
-    return camera_height + float(np.median(z_c))
+    # np.median's value without its overhead: the middle order statistic, or
+    # the mean of the two middle ones (the heights are never NaN)
+    k = len(z_c) // 2
+    if len(z_c) % 2:
+        return camera_height + float(np.partition(z_c, k)[k])
+    lo, hi = np.partition(z_c, (k - 1, k))[k - 1 : k + 1].tolist()
+    return camera_height + (lo + hi) / 2
 
 
 def estimate_room_height(signal: "BoundarySignal", cam: CameraModel) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,12 +250,18 @@ def layout_boundaries(layout: VisibleLayout):
     return -floor_lat_of_distance(dist, layout.room_height - h), floor_lat_of_distance(dist, h)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def perturb_signal(signal, noise_sigma: float, seed: int = 0):
     """Seeded Gaussian noise on both boundary curves; y_p untouched."""
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    if isinstance(noise_sigma, bool) or not (
+        isinstance(noise_sigma, numbers.Real) and math.isfinite(noise_sigma) and noise_sigma >= 0
+    ):
+        raise InputError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     margin = 1e-4
     half_pi = np.pi / 2
@@ -409,8 +416,7 @@ def _rendered_fixture(family: str, seed: int, grid: ImageGrid | None = None):
     detectability check accepted."""
     if family not in _SAMPLERS:
         raise InputError(f"unknown fixture family {family!r}; choose from {FIXTURE_FAMILIES}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     grid = grid or ImageGrid()
     rng = np.random.default_rng([_FAMILY_IDS[family], seed])
     for _ in range(400):

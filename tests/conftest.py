@@ -8,7 +8,7 @@ from panolayout import FIXTURE_FAMILIES
 from panolayout.detect import _CEIL_LAT_RANGE, _EXTREMA_WINDOW, _FLOOR_LAT_RANGE, _clamp
 from panolayout.errors import AmbiguityError
 from panolayout.geometry import CornerKind, LayoutCorner, segments_properly_intersect
-from panolayout.panorama import cyclic_column_distance, lat_to_row
+from panolayout.panorama import cyclic_column_distance, lat_to_row, wrap_col
 from panolayout.synth import make_fixture, render_signal
 
 CORPUS_SEEDS = 20
@@ -219,6 +219,28 @@ def split_cluster_columns(
         m = float(np.average(c, weights=wts[seg])) % width
         means.append(m)
     return sorted(means)
+
+
+def numpy_refine_peak_column(y_p: np.ndarray, p: int) -> float:
+    """Reference for ``_refine_peak_column``: the three-value window, its
+    test and its log-parabola offset as numpy arrays and scalars, clipped
+    with ``np.clip`` and folded with ``wrap_col``."""
+    w = len(y_p)
+    window = y_p[[(p - 1) % w, p, (p + 1) % w]]
+    if np.any(window <= 0):
+        return float(p)
+    l0, l1, l2 = np.log(window)
+    denom = l0 - 2.0 * l1 + l2
+    if denom >= -1e-12:
+        return float(p)
+    delta = 0.5 * (l0 - l2) / denom
+    return wrap_col(p + float(np.clip(delta, -0.5, 0.5)), w)
+
+
+@pytest.fixture(scope="session")
+def refine_oracle():
+    """The numpy peak refinement, ``refine_oracle(y_p, p)``."""
+    return numpy_refine_peak_column
 
 
 @pytest.fixture(scope="session")

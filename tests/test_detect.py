@@ -725,6 +725,30 @@ class TestRefinePeakColumn:
         y_p = corner_bumps([100.25], W)
         assert _refine_peak_column(y_p, 100) == pytest.approx(100.25, abs=1e-9)
 
+    def test_every_fixture_peak_matches_numpy_form(self, corpus, refine_oracle):
+        for _, signal, _ in corpus.values():
+            y_p = signal.y_p
+            for p in extract_corner_peaks(y_p):
+                assert _refine_peak_column(y_p, p).hex() == refine_oracle(y_p, p).hex()
+
+    # windows whose peak column moves in the last bit when the logs are
+    # taken with math.log instead of np.log (numpy 2.4, x86-64)
+    @pytest.mark.parametrize(
+        "window", [[0.626, 0.699, 0.662], [0.316, 0.691, 0.627], [0.662, 0.89, 0.075]]
+    )
+    def test_log_rounding_matches_numpy_form(self, refine_oracle, window):
+        y_p = np.array(window)
+        assert _refine_peak_column(y_p, 1).hex() == refine_oracle(y_p, 1).hex()
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_drawn_windows_match_numpy_form(self, refine_oracle, data):
+        # repeated values make flat windows, and 0 and below a nonpositive neighbour
+        value = st.sampled_from([0.0, -0.0, -0.25, 1e-300, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        y_p = np.array(data.draw(st.lists(value, min_size=1, max_size=8)))
+        p = data.draw(st.integers(0, len(y_p) - 1))
+        assert _refine_peak_column(y_p, p).hex() == refine_oracle(y_p, p).hex()
+
 
 class TestClusterColumns:
     def test_chain_across_seam_mean_stays_in_range(self):
@@ -744,6 +768,23 @@ class TestClusterColumns:
             st.lists(st.floats(1e-6, 1e6), min_size=len(cols), max_size=len(cols))
         )
         args = (np.array(cols, dtype=np.int64), np.array(strengths), radius, width)
+        assert _cluster_columns(*args) == cluster_oracle(*args)
+
+    @pytest.mark.parametrize("length", [7, 8, 9])
+    @given(data=st.data())
+    def test_chains_either_side_of_the_pairwise_switch(self, cluster_oracle, length, data):
+        # numpy's .sum() adds fewer than 8 values left to right and 8 or more
+        # pairwise; chains of 7, 8 and 9 candidates, one of them possibly
+        # across the seam, must give the per-chain average bit for bit
+        shift = data.draw(st.integers(0, W - 1))
+        cols = []
+        for base in range(0, data.draw(st.integers(1, 4)) * 200, 200):
+            steps = data.draw(st.lists(st.integers(0, 4), min_size=length - 1, max_size=length - 1))
+            cols += [(shift + base + s) % W for s in itertools.accumulate([0] + steps)]
+        strengths = data.draw(
+            st.lists(st.floats(1e-6, 1e6), min_size=len(cols), max_size=len(cols))
+        )
+        args = (np.array(cols, dtype=np.int64), np.array(strengths), 4, W)
         assert _cluster_columns(*args) == cluster_oracle(*args)
 
     @given(st.data())

@@ -25,6 +25,7 @@ from panolayout.geometry import (
     polygon_signed_area,
     wall_distance_profile,
 )
+from panolayout.geometry import _median_height
 from panolayout.panorama import ImageGrid, lon_to_col, wrap_col
 from panolayout.synth import SyntheticRoom, perturb_signal, render_signal
 
@@ -211,6 +212,20 @@ class TestEstimateRoomHeight:
         sig, _ = render_signal(room)
         noisy = perturb_signal(sig, 0.002, seed=3)
         assert estimate_room_height(noisy, CAM) == pytest.approx(2.8, rel=0.01)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(data=st.data())
+    def test_median_height_is_np_median(self, parity, data):
+        # drawn from a few values as well, so the middle heights often tie
+        n = 2 * data.draw(st.integers(0 if parity else 1, 20)) + parity
+        floor = st.sampled_from([-0.3, -0.7]) | st.floats(-1.5, -1e-3)
+        ceil = st.sampled_from([0.4, 0.9]) | st.floats(1e-3, 1.5)
+        floor_lats = data.draw(st.lists(floor, min_size=n, max_size=n))
+        ceil_lats = data.draw(st.lists(ceil, min_size=n, max_size=n))
+        h = data.draw(st.sampled_from([1.6]) | st.floats(0.1, 3.0))
+        z = floor_distance(floor_lats, h) * np.tan(ceil_lats)
+        want = h + float(np.median(z))
+        assert _median_height(floor_lats, ceil_lats, h).hex() == want.hex()
 
     def test_too_few_columns(self):
         sig = BoundarySignal(np.zeros(4), np.full(4, 0.5), np.full(4, -0.5))

@@ -1,6 +1,8 @@
 """Tests of the experiment script on a small noisy corpus."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -114,3 +116,41 @@ def test_layout_digest_expect_sets_exit_status(capsys):
     assert script.main([*corpus, "--expect", wrong]) == 1
     out = capsys.readouterr().out
     assert f"digest mismatch: expected {wrong}, got {hexdigest}" in out
+
+
+def _checkout_copy(dest: Path) -> Path:
+    """What perfbench needs of a checkout: its harness, the package and BENCHMARK.json."""
+    root = SCRIPTS.parent
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench_run")
+    for name in ("perfbench", "src"):
+        shutil.copytree(root / name, dest / name, ignore=ignore)
+    shutil.copy(root / "BENCHMARK.json", dest)
+    return dest
+
+
+def test_perf_pairs_one_pair_smoke(tmp_path, capsys):
+    script = _load("perf_pairs")
+    parent, change = (_checkout_copy(tmp_path / side) for side in ("parent", "change"))
+    argv = [str(parent), str(change), "--workload", "noisy_postprocess",
+            "--seeds", "0", "--seconds", "0"]
+    assert script.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 1/1 seed 0, parent first: setup_s ")
+    rows = {line.split()[0]: line.split() for line in lines[3:]}
+    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(rows) == [m["name"] for m in metrics]
+    # the same code on both sides: shares tie, and a tie is no win
+    for name in ("ok_share", "exact_corner_share"):
+        assert rows[name][-1] == "0/1"
+
+
+def test_perf_pairs_reports_a_failed_run(tmp_path, capsys):
+    # perfbench exits non-zero without a result when src/ holds no package
+    script = _load("perf_pairs")
+    broken = _checkout_copy(tmp_path / "broken")
+    shutil.rmtree(broken / "src" / "panolayout")
+    argv = [str(broken), str(broken), "--workload", "noisy_postprocess",
+            "--seeds", "0", "--seconds", "0"]
+    assert script.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"pair 1: {broken}: perfbench exited 1 without a result")

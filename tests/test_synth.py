@@ -441,6 +441,25 @@ class TestPerturbSignal:
         with pytest.raises(InputError, match="seed"):
             perturb_signal(signal, 0.01, seed=-1)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        # a bool is not a seed, and numpy's own TypeError must not leak
+        signal, _ = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="seed"):
+            perturb_signal(signal, 0.01, seed=seed)
+
+    @pytest.mark.parametrize("sigma", [True, False, "0.01", None, 0.01j])
+    def test_non_real_sigma_rejected(self, sigma):
+        signal, _ = render_signal(make_fixture("square", 0))
+        with pytest.raises(InputError, match="noise_sigma"):
+            perturb_signal(signal, sigma)
+
+    def test_numpy_seed_and_sigma_accepted(self):
+        signal, _ = render_signal(make_fixture("square", 0))
+        a = perturb_signal(signal, np.float32(0.25), seed=np.int64(3))
+        b = perturb_signal(signal, float(np.float32(0.25)), seed=3)
+        assert np.array_equal(a.y_f, b.y_f)
+
     def test_noisy_square_still_recovered(self):
         signal, truth = render_signal(make_fixture("square", 5))
         noisy = perturb_signal(signal, 0.002, seed=7)
@@ -469,6 +488,15 @@ class TestMakeFixture:
     def test_negative_seed_rejected(self):
         with pytest.raises(InputError, match="seed"):
             make_fixture("square", -1)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            make_fixture("square", seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a, b = make_fixture("square", np.int64(4)), make_fixture("square", 4)
+        assert np.array_equal(a.floor_polygon, b.floor_polygon)
 
     def test_truth_corners_pinned(self, corpus):
         # column, both latitudes and kind of every truth corner of seeds 0 and
