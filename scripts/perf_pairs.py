@@ -5,10 +5,17 @@ alternates which side runs first: the parent first in pairs 1, 3, 5, ...,
 the change first in the others. Runs are sequential, so the two sides never
 share the machine with each other. After the pairs it prints, for every
 end-to-end metric of the change's BENCHMARK.json, each side's median and
-quartiles over the pairs and the number of pairs the change wins by that
-metric's direction; ties count for neither side. A run that fails or whose
-outputs fail perfbench's correctness check stops the comparison with exit
-status 1.
+quartiles over the pairs, two verdicts and the number of pairs the change
+wins by that metric's direction; ties count for neither side. The verdicts:
+
+  gain   "met" if the change would carry a claimed gain on that metric: it
+         wins at least 9 of every 10 pairs, and its median is better than
+         the parent's by more than the parent's interquartile range.
+  bound  "exceeded" if the change's median is worse than the parent's by
+         more than the metric's relative ``bound`` in BENCHMARK.json.
+
+A run that fails or whose outputs fail perfbench's correctness check stops
+the comparison with exit status 1.
 
 Usage:
     python3 scripts/perf_pairs.py PARENT CHANGE --workload noisy_postprocess \\
@@ -46,6 +53,32 @@ def summary(values: list[float]) -> str:
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def _sign(better: str) -> int:
+    return 1 if better == "higher" else -1
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change is strictly better; a tie is no win."""
+    return sum(_sign(better) * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def gain_met(parent: list[float], change: list[float], better: str) -> bool:
+    """A claimed gain holds: the change wins at least 9 of every 10 pairs, and
+    its median beats the parent's by more than the parent's interquartile range."""
+    q1, med, q3 = np.percentile(parent, [25, 50, 75])
+    beyond = _sign(better) * (np.median(change) - med) > q3 - q1
+    return wins(parent, change, better) >= 0.9 * len(parent) and bool(beyond)
+
+
+def bound_exceeded(parent: list[float], change: list[float], better: str, bound: float) -> bool:
+    """The change's median is worse than the parent's by more than ``bound``,
+    a share of the parent's median."""
+    med_p, med_c = np.median(parent), np.median(change)
+    if better == "higher":
+        return bool(med_c < med_p * (1 - bound))
+    return bool(med_c > med_p * (1 + bound))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -81,15 +114,15 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {pairs} alternating pairs of {args.seconds:g} s runs")
     print(f"{'metric':<20} {'unit':<6} {'parent median [quartiles]':<32} "
-          f"{'change median [quartiles]':<32} change wins")
+          f"{'change median [quartiles]':<32} {'gain':<5} {'bound':<8} change wins")
     for m in metrics:
-        name = m["name"]
+        name, better = m["name"], m["better"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        sign = 1 if m["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        gain = "met" if gain_met(parent, change, better) else "unmet"
+        bound = "exceeded" if bound_exceeded(parent, change, better, m["bound"]) else "within"
         print(f"{name:<20} {m['unit']:<6} {summary(parent):<32} {summary(change):<32} "
-              f"{wins}/{pairs}")
+              f"{gain:<5} {bound:<8} {wins(parent, change, better)}/{pairs}")
     return 0
 
 

@@ -12,8 +12,10 @@ cyclic: a panorama has no first column.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,6 +110,7 @@ class DiscontinuitySource(str, enum.Enum):
 # One row per column suspected to sit at a boundary discontinuity; ``source``
 # holds a DiscontinuitySource value.
 CANDIDATE_DTYPE = np.dtype([("column", np.int64), ("source", "U15"), ("strength", float)])
+_RAW_CANDIDATE = np.dtype((np.void, CANDIDATE_DTYPE.itemsize))  # one record as opaque bytes
 
 
 # Window sizes in columns, fixed: they tune approximations, not the network outputs.
@@ -155,10 +158,14 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     return sorted(kept)
 
 
+# DiscontinuitySource values by (detector, boundary)
+_SOURCES = {tuple(s.value.split("_")): s.value for s in DiscontinuitySource}
+
+
 def _source(detector: str, boundary: str) -> str:
     if boundary not in ("floor", "ceiling"):
         raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
-    return DiscontinuitySource(f"{detector}_{boundary}").value
+    return _SOURCES[detector, boundary]
 
 
 def detect_2d(
@@ -173,10 +180,10 @@ def detect_2d(
     pixel-quantized curves are noise-dominated, hence the smoothing.
     """
     config = config or DetectConfig()
-    slope_src, kink_src = _source("slope2d", boundary), _source("kink2d", boundary)
+    kink_src, slope_src = _source("kink2d", boundary), _source("slope2d", boundary)
     y = np.asarray(y, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
+    if y.size and not (y.min() > -np.inf and y.max() < np.inf):  # NaN fails too
+        bad = np.flatnonzero(~np.isfinite(y))
         raise InputError(f"non-finite boundary value at column {int(bad[0])}")
     w, span, half = len(y), _SMOOTHING_WIDTH, _SMOOTHING_WIDTH // 2
     step = np.concatenate((y[1:], y[:1])) - y  # step[i] == y[i+1] - y[i], cyclically
@@ -197,10 +204,21 @@ def detect_2d(
     np.greater(stats[:, 0], config.kink_threshold, out=over[:, 0])
     np.greater(stats[:, 1], config.slope_threshold, out=over[:, 1])
     fired = over.ravel().nonzero()[0]
-    cands = np.empty(len(fired), CANDIDATE_DTYPE)
-    cands["column"], cands["source"], cands["strength"] = fired >> 1, kink_src, stats.ravel()[fired]
-    cands["source"][(fired & 1).astype(bool)] = slope_src
+    cands = _kink_slope_slots(w, kink_src, slope_src).take(fired)  # column, source: one copy
+    cands["strength"] = stats.ravel()[fired]
     return cands
+
+
+@functools.lru_cache(maxsize=4)
+def _kink_slope_slots(width: int, kink_src: str, slope_src: str) -> np.ndarray:
+    """Read-only ``CANDIDATE_DTYPE`` records of every (column, source) slot of
+    :func:`detect_2d` in its flat order: slot ``2 i`` is column i's kink
+    candidate and slot ``2 i + 1`` its slope candidate, with strength 0."""
+    slots = np.zeros(2 * width, CANDIDATE_DTYPE)
+    slots["column"] = np.arange(2 * width) >> 1
+    slots["source"][0::2], slots["source"][1::2] = kink_src, slope_src
+    slots.setflags(write=False)
+    return slots
 
 
 def detect_3d(
@@ -216,8 +234,8 @@ def detect_3d(
     config = config or DetectConfig()
     src = _source("jump3d", boundary)
     d = np.asarray(distance_profile, dtype=float)
-    bad = np.flatnonzero(~(d > 0) | ~np.isfinite(d))
-    if bad.size:
+    if d.size and not (d.min() > 0 and d.max() < np.inf):  # NaN fails too
+        bad = np.flatnonzero(~(d > 0) | ~np.isfinite(d))
         raise InputError(f"nonpositive distance at column {int(bad[0])}")
     nxt = np.concatenate((d[1:], d[:1]))
     ratio = np.maximum(d, nxt) / np.minimum(d, nxt)
@@ -231,9 +249,9 @@ def _cluster_columns(
     columns: np.ndarray, strengths: np.ndarray, radius: int, width: int
 ) -> list[float]:
     """Single-linkage cyclic clustering; each cluster -> strength-weighted mean."""
-    cols = columns.astype(float)  # contiguous, also when read from a record field
+    cols = np.asarray(columns, dtype=float)
     order = np.argsort(cols, kind="stable")
-    cols, wts = cols[order], strengths.astype(float)[order]
+    cols, wts = cols[order], np.asarray(strengths, dtype=float)[order]
     n = len(cols)
     if n == 0:
         return []
@@ -250,11 +268,12 @@ def _cluster_columns(
     # is laid out behind a 0.0, and reduceat starts from that 0.0 and adds the
     # chain in one pairwise sum, as .sum() does, so the sums are bit-identical.
     k = len(ends)
-    starts = np.concatenate(([0], ends[:-1]))
+    heads = np.concatenate(([0], ends[:-1])) + np.arange(k)  # where each 0.0 sits
     rows = np.zeros((2, n + k))  # c * w, then w, each chain behind a 0.0
-    at = np.arange(1, n + 1) + np.repeat(np.arange(k), ends - starts)
-    rows[0][at], rows[1][at] = c * wts, wts
-    prod, weight = np.add.reduceat(rows, starts + np.arange(k), axis=1)
+    filled = np.ones(n + k, bool)
+    filled[heads] = False
+    rows[0][filled], rows[1][filled] = c * wts, wts
+    prod, weight = np.add.reduceat(rows, heads, axis=1)
     return np.sort(prod / weight % width).tolist()
 
 
@@ -263,13 +282,15 @@ def ensemble(
 ) -> list[float]:
     """Cluster candidates from any subset of sources into confirmed columns.
 
-    Candidates (a 1D ``CANDIDATE_DTYPE`` array with columns in [0, width)
-    and strengths > 0) within the cluster radius, 4 columns, of each other
-    (cyclically, which is why the panorama width is required) merge by
-    single linkage; each cluster confirms one column, its strength-weighted
-    mean. A cluster that lands within the cluster radius of a corner peak (a
-    column in [0, width)) is pulled onto that peak instead of spawning a
-    second corner next to it.
+    Candidates (a 1D ``CANDIDATE_DTYPE`` array with columns in [0, width))
+    within the cluster radius, 4 columns, of each other (cyclically, which
+    is why the panorama width is required) merge by single linkage; each
+    cluster confirms one column, its strength-weighted mean. A cluster that
+    lands within the cluster radius of a corner peak (a column in
+    [0, width)) is pulled onto that peak instead of spawning a second corner
+    next to it. Strengths must be > 0 and finite, and small enough that no
+    weighted sum overflows: each at most the largest float over 4 × width ×
+    the number of candidates.
     """
     if not (isinstance(candidates, np.ndarray) and candidates.dtype == CANDIDATE_DTYPE):
         raise InputError("candidates must be an array of CANDIDATE_DTYPE")
@@ -277,26 +298,41 @@ def ensemble(
         raise InputError(f"candidates must be 1D, got shape {candidates.shape}")
     if width < 1:
         raise InputError(f"width must be >= 1, got {width}")
-    cols, wts = candidates["column"], candidates["strength"]
+    # contiguous float copies of the record fields: the checks reduce them,
+    # and the clustering reads them as they are
+    cols, wts = candidates["column"].astype(float), candidates["strength"].copy()
     peaks = np.asarray(corner_peaks, dtype=float)
     if peaks.ndim != 1:
         raise InputError(f"corner_peaks must be 1D, got shape {peaks.shape}")
-    for what, values in (("candidate column", cols), ("corner peak", peaks)):
-        bad = ~((values >= 0) & (values < width))
-        if bad.any():
-            raise InputError(f"{what} {values[bad][0]} outside [0, {width})")
-    bad = ~(wts > 0)
-    if bad.any():
-        raise InputError(f"candidate strength must be > 0, got {wts[bad][0]}")
+    if cols.size and not (cols.min() >= 0 and cols.max() < width):
+        values = candidates["column"]
+        bad = values[~((values >= 0) & (values < width))][0]
+        raise InputError(f"candidate column {bad} outside [0, {width})")
+    for p in peaks.tolist():
+        if not 0 <= p < width:  # NaN fails too
+            raise InputError(f"corner peak {p} outside [0, {width})")
+    # unwrapped columns stay below 2 * width, so no sum of c * w reaches the
+    # largest float; the factor 2 more leaves room for rounding
+    most = sys.float_info.max / (4 * width * max(len(wts), 1))
+    if wts.size and not (wts.min() > 0 and wts.max() <= most):
+        bad = wts[~((wts > 0) & (wts <= most))][0]
+        raise InputError(
+            f"candidate strength must be > 0 and finite, at most {most:.6g} for"
+            f" {len(wts)} candidates on width {width}, got {bad}"
+        )
     confirmed = np.array(_cluster_columns(cols, wts, _CLUSTER_RADIUS, width))
     if peaks.size:
-        dist = cyclic_column_distance(confirmed[:, None], peaks[None, :], width)
-        snaps = dist.min(axis=1) <= _CLUSTER_RADIUS
-        confirmed[snaps] = peaks[dist.argmin(axis=1)[snaps]]
+        # cyclic_column_distance of every confirmed column to every peak; both
+        # lie in [0, width), so |a - b| < width exactly and its `% width` is
+        # the identity
+        dist = np.abs(confirmed[:, None] - peaks)
+        np.minimum(dist, width - dist, out=dist)
+        nearest = dist.argmin(axis=1)  # the first peak in the given order on a tie
+        confirmed = np.where(dist.min(axis=1) <= _CLUSTER_RADIUS, peaks[nearest], confirmed)
     # Snapped columns are peak values (distinct integers), and unsnapped means
     # lie farther than the cluster radius from every peak and from each other,
     # so exact duplicates are the only near ones.
-    return np.unique(confirmed).tolist()
+    return sorted(set(confirmed.tolist()))
 
 
 _FLOOR_LAT_RANGE = (-math.pi / 2 + 1e-6, -1e-6)
@@ -418,8 +454,9 @@ def candidates_for_mode(
         d_ceil = wall_distance_profile(signal.y_c, cam, room_height)
         parts.append(detect_3d(d_floor, config, boundary="floor"))
         parts.append(detect_3d(d_ceil, config, boundary="ceiling"))
-    # with the dtype given, np.concatenate skips promoting the record fields
-    return np.concatenate(parts, dtype=CANDIDATE_DTYPE)
+    # Joined as raw bytes: numpy copies a structured array field by field,
+    # several times slower on the U15 source than one copy of the records.
+    return np.concatenate([p.view(_RAW_CANDIDATE) for p in parts]).view(CANDIDATE_DTYPE)
 
 
 def _refine_peak_column(y_p: np.ndarray, p: int) -> float:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import AssemblyError, EstimationError, GeometryError, InputError
-from .panorama import ImageGrid, col_to_lon
+from .panorama import ImageGrid, _col_lon, col_to_lon
 
 if TYPE_CHECKING:  # pragma: no cover
     from .detect import BoundarySignal
@@ -107,17 +107,17 @@ def wall_distance_profile(lats, cam: CameraModel, room_height: float | None = No
         if not room_height > cam.camera_height:
             raise GeometryError(f"room_height {room_height} not above camera")
         side, height, floor_lats = "ceiling", room_height - cam.camera_height, -lats
-    bad = np.flatnonzero(~((-np.pi / 2 < floor_lats) & (floor_lats < 0)))
-    if bad.size:
-        i = bad[0]
+    # two reductions pass every valid profile (NaN fails them); only a bad one
+    # is searched for its first offending column
+    if not (floor_lats.min() > -np.pi / 2 and floor_lats.max() < 0):
+        i = np.flatnonzero(~((-np.pi / 2 < floor_lats) & (floor_lats < 0)))[0]
         where = "at or beyond the pole" if floor_lats[i] < 0 else "on wrong side of horizon"
         raise GeometryError(f"{side} latitude {where} at column {i}")
     d = floor_distance(floor_lats, height)
-    bad = np.flatnonzero(np.isinf(d))
-    if bad.size:
+    if not d.max() < np.inf:  # the distances are > 0
         raise GeometryError(
-            f"{side} latitude at column {bad[0]} is too close to the horizon: "
-            "its wall lies at infinity"
+            f"{side} latitude at column {np.flatnonzero(np.isinf(d))[0]} is too close to"
+            " the horizon: its wall lies at infinity"
         )
     return d
 
@@ -239,23 +239,28 @@ class VisibleLayout:
             raise GeometryError(
                 f"need camera_height < room_height < inf, got {h}, {self.room_height}"
             )
-        if len(self.corners) < 3:
-            raise AssemblyError(f"layout needs >= 3 corners, got {len(self.corners)}")
-        self._check_order_and_pairs()
+        n = len(self.corners)
+        if n < 3:
+            raise AssemblyError(f"layout needs >= 3 corners, got {n}")
         d = floor_distance([c.floor_lat for c in self.corners], h)
-        if not np.isfinite(d).all():
+        dists = d.tolist()
+        self._check_order_and_pairs(dists)
+        if math.inf in dists:  # the distances are > 0
             raise AssemblyError("floor polygon has a vertex at infinity")
-        lons = self.lons()
-        object.__setattr__(self, "_floor", np.stack([d * np.cos(lons), d * np.sin(lons)], axis=1))
+        # the walk has checked every column against the width
+        lons = _col_lon(np.array([c.column for c in self.corners]), self.grid.width)
+        floor = np.empty((n, 2))
+        np.multiply(d, np.cos(lons), out=floor[:, 0])
+        np.multiply(d, np.sin(lons), out=floor[:, 1])
+        object.__setattr__(self, "_floor", floor)
 
-    def _check_order_and_pairs(self):
+    def _check_order_and_pairs(self, dists: list[float]):
         """One walk over the sorted corners: each gap to the next corner,
         cyclically, is below half a turn, and zero only inside an occlusion
         pair; each occlusion corner pairs with the next corner, which must be
         of the opposite occlusion kind in the same column, and the near
-        corner must be closer than that partner."""
+        corner's floor distance in ``dists`` must be below its partner's."""
         corners, n, w = self.corners, len(self.corners), self.grid.width
-        h = self.camera.camera_height
         pairs: list[tuple[int, int]] = []
         for i, c in enumerate(corners):
             if not 0 <= c.column < w:
@@ -284,10 +289,11 @@ class VisibleLayout:
                 raise AssemblyError(
                     f"occlusion corner at column {c.column} has no adjacent partner"
                 )
-            near, far = (c, partner) if c.kind is CornerKind.OCCLUSION_NEAR else (partner, c)
-            if floor_distance(near.floor_lat, h) >= floor_distance(far.floor_lat, h):
+            near, far = (i, i + 1) if c.kind is CornerKind.OCCLUSION_NEAR else (i + 1, i)
+            if dists[near] >= dists[far]:
                 raise AssemblyError(
-                    f"occlusion pair at column {near.column}: near point not closer than far"
+                    f"occlusion pair at column {corners[near].column}: near point not closer"
+                    " than far"
                 )
             pairs.append((i, i + 1))
         object.__setattr__(self, "_pairs", pairs)

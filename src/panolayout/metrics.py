@@ -476,23 +476,30 @@ def _planes(layout: VisibleLayout, rows, grid: ImageGrid):
     return top, bot
 
 
+def _row_ious(top_p, bot_p, area_p, top_g, bot_g, area_g) -> np.ndarray:
+    """Mask IoU of pred and truth plane rows, broadcast against each other;
+    each intersection is the sum of one contiguous row along the last axis."""
+    overlap = np.minimum(bot_p, bot_g)
+    overlap -= np.maximum(top_p, top_g)
+    inter = np.clip(overlap, 0.0, None, out=overlap).sum(axis=-1)
+    union = area_p + area_g - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
+
+
 def _plane_ious(planes_p, planes_g) -> np.ndarray:
     """Mask IoU of every pred plane with every truth plane, from the column
     intervals of :func:`_planes`; ``-inf`` where the labels differ. Only the
-    same-label blocks are scored: ceiling with ceiling, floor with floor and
-    wall with wall."""
+    same-label blocks are scored: ceiling with ceiling and floor with floor
+    row by row, and every wall with every wall in one (pred walls, truth
+    walls, width) broadcast."""
     (top_p, bot_p), (top_g, bot_g) = planes_p, planes_g
     area_p = np.clip(bot_p - top_p, 0.0, None).sum(axis=1)
     area_g = np.clip(bot_g - top_g, 0.0, None).sum(axis=1)
     ious = np.full((len(top_p), len(top_g)), -np.inf)
-    for i in range(len(top_p)):  # a row at a time: temporaries stay (truth planes, width)
-        same = slice(i, i + 1) if i < 2 else slice(2, None)
-        overlap = np.minimum(bot_p[i], bot_g[same])
-        overlap -= np.maximum(top_p[i], top_g[same])
-        inter = np.clip(overlap, 0.0, None, out=overlap).sum(axis=1)
-        union = area_p[i] + area_g[same] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ious[i, same] = np.where(union > 0, inter / union, 0.0)
+    pred, truth = (top_p, bot_p, area_p), (top_g, bot_g, area_g)
+    ious[[0, 1], [0, 1]] = _row_ious(*(a[:2] for a in pred), *(a[:2] for a in truth))
+    ious[2:, 2:] = _row_ious(*(a[2:, None] for a in pred), *(a[None, 2:] for a in truth))
     return ious
 
 

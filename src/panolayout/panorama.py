@@ -72,8 +72,14 @@ def col_to_lon(u, grid: ImageGrid = ImageGrid()):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0) or np.any(u >= grid.width):
         raise InputError(f"column index out of range [0, {grid.width})")
-    lon = ((u + 0.5) / grid.width - 0.5) * TWO_PI
+    lon = _col_lon(u, grid.width)
     return float(lon) if lon.ndim == 0 else lon
+
+
+def _col_lon(u: np.ndarray, width: int) -> np.ndarray:
+    """:func:`col_to_lon` without its range check, for float columns already
+    known to lie in [0, width)."""
+    return ((u + 0.5) / width - 0.5) * TWO_PI
 
 
 def row_to_lat(v, grid: ImageGrid = ImageGrid()):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -437,14 +438,20 @@ class TestEnsemble:
         with pytest.raises(InputError, match=f"candidate column {col} outside"):
             ensemble(_cands([5, col]), 64)
 
-    @pytest.mark.parametrize("strength", [0.0, -1.0, math.nan])
+    # 1e308 is finite, but 9 * 1e308, its weighted column, overflows to inf
+    @pytest.mark.parametrize("strength", [0.0, -1.0, math.nan, math.inf, 1e308])
     def test_rejects_nonpositive_strength(self, strength):
-        with pytest.raises(InputError, match="strength must be > 0"):
+        with pytest.raises(InputError, match="strength must be > 0") as err:
             ensemble(_cands([5, 9], [1.0, strength]), 64)
+        assert str(err.value).endswith(f"got {strength}")
 
-    @pytest.mark.parametrize("peak", [70, -60])
+    def test_accepts_strengths_up_to_the_bound(self):
+        most = sys.float_info.max / (4 * 64 * 2)
+        assert ensemble(_cands([5, 9], [most, most]), 64) == [pytest.approx(7.0)]
+
+    @pytest.mark.parametrize("peak", [70, -60, math.nan, math.inf])
     def test_rejects_peak_outside_width(self, peak):
-        with pytest.raises(InputError, match=f"corner peak {peak}.0 outside"):
+        with pytest.raises(InputError, match=f"corner peak {float(peak)} outside"):
             ensemble(_cands([5]), 64, corner_peaks=(peak,))
 
     @pytest.mark.parametrize("peaks", [5, [[5, 9]]])

@@ -298,15 +298,18 @@ class TestVisibleLayout:
         with pytest.raises(AssemblyError):
             VisibleLayout(corners, CAM, 3.2, grid)
 
-    def test_near_must_be_closer(self):
+    # the near corner's floor latitude: farther than its partner at -0.9,
+    # or at the same distance
+    @pytest.mark.parametrize("near_lat", [-0.4, -0.9], ids=["farther", "equal"])
+    def test_near_must_be_closer(self, near_lat):
         grid = ImageGrid(64)
         corners = [
-            LayoutCorner(5.0, 0.5, -0.4, CornerKind.OCCLUSION_NEAR),  # farther
-            LayoutCorner(5.0, 0.5, -0.9, CornerKind.OCCLUSION_FAR),  # nearer
+            LayoutCorner(5.0, 0.5, near_lat, CornerKind.OCCLUSION_NEAR),
+            LayoutCorner(5.0, 0.5, -0.9, CornerKind.OCCLUSION_FAR),
             LayoutCorner(25, 0.5, -0.5),
             LayoutCorner(45, 0.5, -0.5),
         ]
-        with pytest.raises(AssemblyError):
+        with pytest.raises(AssemblyError, match="at column 5.0: near point not closer than far"):
             VisibleLayout(corners, CAM, 3.2, grid)
 
     def test_near_checked_against_its_own_partner(self):

@@ -139,9 +139,56 @@ def test_perf_pairs_one_pair_smoke(tmp_path, capsys):
     rows = {line.split()[0]: line.split() for line in lines[3:]}
     metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
     assert list(rows) == [m["name"] for m in metrics]
-    # the same code on both sides: shares tie, and a tie is no win
+    # the same code on both sides: shares tie, and a tie is no win, no gain
+    # and no step past the bound
     for name in ("ok_share", "exact_corner_share"):
-        assert rows[name][-1] == "0/1"
+        assert rows[name][-3:] == ["unmet", "within", "0/1"]
+
+
+# ten pairs of a lower-is-better metric: the parent's median is 1.09 and its
+# quartiles 1.045 and 1.135, an interquartile range of 0.09
+PARENT_RUNS = [1.00, 1.02, 1.04, 1.06, 1.08, 1.10, 1.12, 1.14, 1.16, 1.18]
+
+
+def test_perf_pairs_gain_needs_nine_wins_in_ten():
+    script = _load("perf_pairs")
+    change = [p - 0.2 for p in PARENT_RUNS]
+    change[0] = 1.5  # one loss: 9/10 wins, median 0.91
+    assert script.wins(PARENT_RUNS, change, "lower") == 9
+    assert script.gain_met(PARENT_RUNS, change, "lower")
+    change[1] = 1.5  # a second loss: 8/10
+    assert script.wins(PARENT_RUNS, change, "lower") == 8
+    assert not script.gain_met(PARENT_RUNS, change, "lower")
+    # 18 of 20 wins is the same share as 9 of 10
+    twenty = PARENT_RUNS + [p + 0.01 for p in PARENT_RUNS]
+    change = [p - 0.2 for p in twenty]
+    change[0] = change[10] = 1.5
+    assert script.gain_met(twenty, change, "lower")
+
+
+def test_perf_pairs_gain_needs_a_median_beyond_the_parent_quartiles():
+    script = _load("perf_pairs")
+    within = [p - 0.05 for p in PARENT_RUNS]  # wins every pair, by less than 0.09
+    assert script.wins(PARENT_RUNS, within, "lower") == 10
+    assert not script.gain_met(PARENT_RUNS, within, "lower")
+    beyond = [p - 0.1 for p in PARENT_RUNS]
+    assert script.gain_met(PARENT_RUNS, beyond, "lower")
+    # the same runs read as a loss on a higher-is-better metric
+    assert script.wins(PARENT_RUNS, beyond, "higher") == 0
+    assert not script.gain_met(PARENT_RUNS, beyond, "higher")
+    assert script.gain_met(beyond, PARENT_RUNS, "higher")
+
+
+def test_perf_pairs_bound_is_a_share_of_the_parent_median():
+    script = _load("perf_pairs")
+    parent = [0.9, 1.0, 1.1]  # median 1.0
+    assert script.bound_exceeded(parent, [1.2, 1.3, 1.4], "lower", 0.25)
+    assert not script.bound_exceeded(parent, [1.1, 1.2, 1.3], "lower", 0.25)
+    assert script.bound_exceeded(parent, [0.6, 0.7, 0.8], "higher", 0.25)
+    assert not script.bound_exceeded(parent, [0.7, 0.8, 0.9], "higher", 0.25)
+    # better by any margin is within the bound
+    assert not script.bound_exceeded(parent, [0.1, 0.1, 0.1], "lower", 0.25)
+    assert not script.bound_exceeded(parent, [9.0, 9.0, 9.0], "higher", 0.25)
 
 
 def test_perf_pairs_reports_a_failed_run(tmp_path, capsys):
