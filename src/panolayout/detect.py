@@ -168,6 +168,14 @@ def _source(detector: str, boundary: str) -> str:
     return _SOURCES[detector, boundary]
 
 
+def _curve(values, name: str) -> np.ndarray:
+    """A detector's per-column input as a 1D float array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise InputError(f"{name} must be 1D, got shape {arr.shape}")
+    return arr
+
+
 def detect_2d(
     y, config: DetectConfig | None = None, boundary: str = "floor"
 ) -> np.ndarray:
@@ -181,7 +189,7 @@ def detect_2d(
     """
     config = config or DetectConfig()
     kink_src, slope_src = _source("kink2d", boundary), _source("slope2d", boundary)
-    y = np.asarray(y, dtype=float)
+    y = _curve(y, "boundary curve")
     if y.size and not (y.min() > -np.inf and y.max() < np.inf):  # NaN fails too
         bad = np.flatnonzero(~np.isfinite(y))
         raise InputError(f"non-finite boundary value at column {int(bad[0])}")
@@ -233,7 +241,7 @@ def detect_3d(
     """
     config = config or DetectConfig()
     src = _source("jump3d", boundary)
-    d = np.asarray(distance_profile, dtype=float)
+    d = _curve(distance_profile, "distance profile")
     if d.size and not (d.min() > 0 and d.max() < np.inf):  # NaN fails too
         bad = np.flatnonzero(~(d > 0) | ~np.isfinite(d))
         raise InputError(f"nonpositive distance at column {int(bad[0])}")

@@ -23,12 +23,12 @@ with wall), one pred plane at a time against all truth planes of its label.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import synth
 from .detect import BoundarySignal
@@ -175,6 +175,68 @@ def _as_corner_points(x) -> np.ndarray:
     return pts
 
 
+def _min_cost_matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a least-total-cost one-to-one matching of a finite
+    (n, m) cost matrix, min(n, m) pairs with rows ascending.
+
+    Shortest augmenting paths with row and column potentials (Kuhn-Munkres in
+    its Jonker-Volgenant form, in the order of Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), O(n^2 m) with the
+    smaller side as rows, on Python floats: the matrices here are at most
+    tens of corners a side. It takes the steps of
+    ``scipy.optimize.linear_sum_assignment`` in the same order, with the same
+    float sums and tie rules, so it returns the same pairs.
+    """
+    transpose = cost.shape[0] > cost.shape[1]
+    c = (cost.T if transpose else cost).tolist()
+    n_rows, n_cols = sorted(cost.shape)
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col, path = [-1] * n_rows, [-1] * n_cols, [-1] * n_cols
+    for start in range(n_rows):
+        # Dijkstra from `start` over reduced costs until a free column is reached
+        short = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, start, -1
+        while sink < 0:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, math.inf
+            for k, j in enumerate(remaining):
+                r, s = min_val + ci[j] - ui - v[j], short[j]
+                if r < s:
+                    path[j] = i
+                    short[j] = s = r
+                # on a tie prefer a free column: the path ends there
+                if s <= lowest and (s < lowest or row4col[j] < 0):
+                    index, lowest = k, s
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            del remaining[-1]
+        u[start] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:  # flip the path's matched and unmatched edges
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    if transpose:
+        cols = sorted(range(n_rows), key=col4row.__getitem__)
+        return np.array([col4row[k] for k in cols], dtype=np.intp), np.array(cols, dtype=np.intp)
+    return np.arange(n_rows), np.array(col4row, dtype=np.intp)
+
+
 def corner_error(pred_corners, gt_corners, grid: ImageGrid | None = None) -> float:
     """Mean matched corner distance as a fraction of the image diagonal.
 
@@ -190,7 +252,7 @@ def corner_error(pred_corners, gt_corners, grid: ImageGrid | None = None) -> flo
     if len(p) == 0 or len(q) == 0:
         raise MetricError("corner sets must be non-empty")
     dist = _pixel_distances(p, q, grid.width)
-    matched = dist[linear_sum_assignment(dist)]
+    matched = dist[_min_cost_matching(dist)]
     n_unmatched = (len(p) - len(matched)) + (len(q) - len(matched))
     diag = grid.diagonal
     total = float(matched.sum()) + n_unmatched * UNMATCHED_PENALTY * diag
@@ -284,6 +346,14 @@ def pixel_error(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
     return float(np.mean(p != g))
 
 
+@functools.lru_cache(maxsize=8)
+def _lats_up(grid: ImageGrid) -> np.ndarray:
+    """Read-only latitudes of a grid's rows, bottom row first, so ascending."""
+    lats = row_to_lat(np.arange(grid.height - 1, -1, -1), grid)
+    lats.setflags(write=False)
+    return lats
+
+
 def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
     """:func:`pixel_error` of the two :func:`render_semantic` masks, per column.
 
@@ -291,7 +361,7 @@ def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
     ``y_f < 0 < y_c`` keeps them apart, so two columns disagree on exactly
     |ceiling rows difference| + |floor rows difference| pixels.
     """
-    lats_up = row_to_lat(np.arange(grid.height - 1, -1, -1), grid)
+    lats_up = _lats_up(grid)
     wrong = 0
     # rows strictly above y_c are ceiling, rows strictly below y_f floor
     for side, y_p, y_g in zip(("right", "left"), bounds_p, bounds_g):
@@ -333,9 +403,13 @@ def _wireframe_points(wire) -> tuple[np.ndarray, np.ndarray]:
     floor curve, then each run."""
     rows, (cols, first, last) = wire
     curve_cols = np.tile(np.arange(rows.shape[1], dtype=float), 2)
-    run_cols = np.repeat(cols, (last - first + 1).astype(np.intp))
-    runs = [np.arange(a, b + 1.0) for a, b in zip(first, last)]
-    return np.concatenate([curve_cols, run_cols]), np.concatenate([rows.ravel(), *runs])
+    counts = (last - first + 1).astype(np.intp)
+    starts = np.cumsum(counts) - counts
+    # the point at flat position k of run r has row first[r] + k - starts[r];
+    # every term is an integer, so the sums are exact
+    run_cols, run_rows = np.repeat(np.stack([cols, first - starts]), counts, axis=1)
+    run_rows += np.arange(run_rows.size)
+    return np.concatenate([curve_cols, run_cols]), np.concatenate([rows.ravel(), run_rows])
 
 
 def _seam_rows(rows, width: int, reach: float, pad: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -247,6 +248,12 @@ class TestDetect2d:
         with pytest.raises(InputError, match="non-finite boundary value at column 1"):
             detect_2d([-0.5, bad, -0.5, -0.4])
 
+    @pytest.mark.parametrize("shape", [(8, 8), ()])
+    def test_not_1d_rejected(self, shape):
+        message = f"boundary curve must be 1D, got shape {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            detect_2d(np.full(shape, -0.5))
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(-1.5, -0.01), min_size=3, max_size=96),
@@ -313,6 +320,12 @@ class TestDetect3d:
         d[7] = 0.0
         with pytest.raises(InputError, match="7"):
             detect_3d(d)
+
+    @pytest.mark.parametrize("shape", [(8, 8), ()])
+    def test_not_1d_rejected(self, shape):
+        message = f"distance profile must be 1D, got shape {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            detect_3d(np.full(shape, 0.5))
 
     def test_scale_invariance_dyadic_exact(self):
         d = np.full(W, 1.6)

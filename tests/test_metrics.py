@@ -1,15 +1,22 @@
 """Evaluation metrics against hand geometry and brute-force matching oracles."""
 
 import dataclasses
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
+import panolayout
 from panolayout import (
     BoundarySignal,
     ImageGrid,
@@ -42,6 +49,7 @@ from panolayout import metrics
 from panolayout.metrics import (
     PLANE_IOU_THRESHOLD,
     _column_pixel_error,
+    _min_cost_matching,
     _nearest_distances,
     _plane_ious,
     _planes,
@@ -275,6 +283,62 @@ class TestCornerError:
         pred, truth = l_room_round_trip()
         assert corner_error(truth, truth) == 0.0
         assert corner_error(pred, truth) < 0.005
+
+
+def brute_min_cost(cost):
+    """Least total cost of a one-to-one matching of min(n, m) pairs, over
+    every injection of the smaller side into the larger."""
+    small, large = sorted(cost.shape)
+    c = cost if cost.shape[0] == small else cost.T
+    injections = itertools.permutations(range(large), small)
+    return min(sum(c[i, j] for i, j in enumerate(p)) for p in injections)
+
+
+class TestMinCostMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        ties=st.booleans(),
+        data=st.data(),
+    )
+    def test_optimal_one_to_one(self, shape, ties, data):
+        # integer costs from a few values tie often; real ones almost never
+        values = st.integers(0, 3).map(float) if ties else st.floats(-100.0, 100.0)
+        size = math.prod(shape)
+        cost = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+        rows, cols = _min_cost_matching(cost)
+        assert len(rows) == len(cols) == min(shape)
+        assert np.all(np.diff(rows) > 0)
+        assert len(set(cols.tolist())) == len(cols)
+        assert cost[rows, cols].sum() == pytest.approx(brute_min_cost(cost), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3), (1, 6)])
+    def test_constant_costs_match_in_order(self, shape):
+        # every matching ties: row i takes column i, as in scipy
+        rows, cols = _min_cost_matching(np.full(shape, 2.0))
+        assert rows.tolist() == cols.tolist() == list(range(min(shape)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (8, 8), (14, 14), (56, 8), (8, 56)])
+    def test_pairs_of_scipy_on_untied_costs(self, rng, shape):
+        for _ in range(50):
+            cost = rng.uniform(0.0, 1000.0, shape)
+            rows, cols = _min_cost_matching(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert rows.tolist() == want_rows.tolist()
+            assert cols.tolist() == want_cols.tolist()
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, panolayout, panolayout.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(panolayout.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestRenderSemantic:
