@@ -13,6 +13,8 @@ Main entry points:
   render_signal    synthetic room -> clean signal + ground-truth layout
 """
 
+import numpy as _np
+
 from .detect import (
     CANDIDATE_DTYPE,
     MODES,
@@ -109,6 +111,16 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
+
+# glibc's malloc serves a block above its mmap threshold, 128 KiB at start,
+# with fresh pages that fault in zero-filled on first touch, and returns the
+# free top of its heap to the system above a trim threshold. Freeing a mapped
+# block raises the mmap threshold to its size and the trim threshold to twice
+# that. The temporaries of evaluate_pair and the detectors run to a few
+# hundred KiB, so one freed 1 MiB block keeps them on the heap: without it a
+# clean scene's evaluate_pair takes about 250 minor page faults.
+_np.empty(1 << 20, dtype=_np.uint8)
+del _np
 
 __all__ = [
     "AmbiguityError",

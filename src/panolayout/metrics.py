@@ -23,7 +23,6 @@ with wall), one pred plane at a time against all truth planes of its label.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -145,12 +144,14 @@ def iou_3d(a, b, height_a: float | None = None, height_b: float | None = None) -
 
 
 def _pixel_distances(p: np.ndarray, q: np.ndarray, width: float | None) -> np.ndarray:
-    """(len(p), len(q)) Euclidean pixel distances, columns cyclic if width given."""
-    du = np.abs(p[:, 0][:, None] - q[:, 0][None, :])
-    if width is not None:
-        du = np.minimum(du, width - du)
-    dv = p[:, 1][:, None] - q[:, 1][None, :]
-    return np.sqrt(du**2 + dv**2)
+    """(len(p), len(q)) Euclidean pixel distances, columns cyclic if width given;
+    ``inf`` where a distance overflows."""
+    with np.errstate(over="ignore"):
+        du = np.abs(p[:, 0][:, None] - q[:, 0][None, :])
+        if width is not None:
+            du = np.minimum(du, width - du)
+        dv = p[:, 1][:, None] - q[:, 1][None, :]
+        return np.sqrt(du**2 + dv**2)
 
 
 def _grid_of(a, b, grid: ImageGrid | None = None) -> ImageGrid:
@@ -252,6 +253,8 @@ def corner_error(pred_corners, gt_corners, grid: ImageGrid | None = None) -> flo
     if len(p) == 0 or len(q) == 0:
         raise MetricError("corner sets must be non-empty")
     dist = _pixel_distances(p, q, grid.width)
+    if not np.isfinite(dist).all():
+        raise MetricError("corner distances overflow: points are too far apart")
     matched = dist[_min_cost_matching(dist)]
     n_unmatched = (len(p) - len(matched)) + (len(q) - len(matched))
     diag = grid.diagonal
@@ -346,14 +349,6 @@ def pixel_error(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
     return float(np.mean(p != g))
 
 
-@functools.lru_cache(maxsize=8)
-def _lats_up(grid: ImageGrid) -> np.ndarray:
-    """Read-only latitudes of a grid's rows, bottom row first, so ascending."""
-    lats = row_to_lat(np.arange(grid.height - 1, -1, -1), grid)
-    lats.setflags(write=False)
-    return lats
-
-
 def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
     """:func:`pixel_error` of the two :func:`render_semantic` masks, per column.
 
@@ -361,7 +356,7 @@ def _column_pixel_error(bounds_p, bounds_g, grid: ImageGrid) -> float:
     ``y_f < 0 < y_c`` keeps them apart, so two columns disagree on exactly
     |ceiling rows difference| + |floor rows difference| pixels.
     """
-    lats_up = _lats_up(grid)
+    lats_up = row_to_lat(np.arange(grid.height - 1, -1, -1), grid)
     wrong = 0
     # rows strictly above y_c are ceiling, rows strictly below y_f floor
     for side, y_p, y_g in zip(("right", "left"), bounds_p, bounds_g):
@@ -403,13 +398,9 @@ def _wireframe_points(wire) -> tuple[np.ndarray, np.ndarray]:
     floor curve, then each run."""
     rows, (cols, first, last) = wire
     curve_cols = np.tile(np.arange(rows.shape[1], dtype=float), 2)
-    counts = (last - first + 1).astype(np.intp)
-    starts = np.cumsum(counts) - counts
-    # the point at flat position k of run r has row first[r] + k - starts[r];
-    # every term is an integer, so the sums are exact
-    run_cols, run_rows = np.repeat(np.stack([cols, first - starts]), counts, axis=1)
-    run_rows += np.arange(run_rows.size)
-    return np.concatenate([curve_cols, run_cols]), np.concatenate([rows.ravel(), run_rows])
+    run_cols = np.repeat(cols, (last - first + 1).astype(np.intp))
+    runs = [np.arange(a, b + 1.0) for a, b in zip(first, last)]
+    return np.concatenate([curve_cols, run_cols]), np.concatenate([rows.ravel(), *runs])
 
 
 def _seam_rows(rows, width: int, reach: float, pad: int) -> np.ndarray:

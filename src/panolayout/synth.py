@@ -201,16 +201,16 @@ def corner_bumps(columns, width: int, sigma: float = 2.0) -> np.ndarray:
     Overlapping bumps combine by max so values stay in [0, 1]. ``sigma=0``
     gives a one-hot at the nearest integer column.
     """
-    columns = np.atleast_1d(np.asarray(columns, dtype=float))
-    if sigma <= 0:
-        y_p = np.zeros(width)
-        for c in columns:
+    y_p = np.zeros(width)
+    cols = np.arange(width, dtype=float)
+    for c in np.atleast_1d(np.asarray(columns, dtype=float)):
+        if sigma <= 0:
             y_p[int(round(c)) % width] = 1.0
-        return y_p
-    # (corners, width) distances from each corner to every column
-    delta = np.abs(np.arange(width, dtype=float) - (columns[:, None] % width))
-    delta = np.minimum(delta, width - delta)
-    return np.exp(-0.5 * (delta / sigma) ** 2).max(axis=0, initial=0.0)
+            continue
+        delta = np.abs(cols - (c % width))
+        delta = np.minimum(delta, width - delta)
+        np.maximum(y_p, np.exp(-0.5 * (delta / sigma) ** 2), out=y_p)
+    return y_p
 
 
 def render_signal(room: SyntheticRoom, grid: ImageGrid | None = None):

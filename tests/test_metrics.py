@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,13 @@ class TestCornerError:
         with pytest.raises(MetricError):
             corner_error(np.zeros((0, 2)), np.array([[1.0, 1.0]]), GRID)
 
+    def test_overflowing_distance_rejected(self):
+        # finite points whose squared distance overflows to inf
+        with pytest.raises(MetricError, match="overflow"):
+            corner_error(np.array([[0.0, 1e200]]), np.array([[0.0, -1e200]]), GRID)
+        with pytest.raises(MetricError, match="overflow"):
+            corner_error(np.array([[0.0, 1e308]]), np.array([[0.0, -1e308], [5.0, 5.0]]), GRID)
+
     def test_rotation_invariance(self, rng):
         pred = np.column_stack([rng.uniform(0, 1024, 6), rng.uniform(0, 512, 6)])
         gt = pred + rng.normal(0, 3, pred.shape)
@@ -339,6 +347,27 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults")
+def test_evaluate_pair_keeps_its_temporaries_on_the_heap():
+    # once the package is imported, repeat calls fault in no fresh pages;
+    # with every temporary mapped afresh these 18 calls take about 3000 faults
+    code = (
+        "import resource, panolayout as pl\n"
+        "pairs = [pl.render_signal(pl.make_fixture(f, 0)) for f in pl.FIXTURE_FAMILIES]\n"
+        "pairs = [(pl.postprocess(s), t) for s, t in pairs]\n"
+        "for lay, truth in pairs: pl.evaluate_pair(lay, truth)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for lay, truth in pairs * 3: pl.evaluate_pair(lay, truth)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(panolayout.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 100
 
 
 class TestRenderSemantic:
