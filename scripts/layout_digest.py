@@ -16,6 +16,9 @@ junction F of the ok runs; and the shares of runs whose corner count
 failed run counts as a miss. Under each noise level, one
 line gives the ensemble's junction F minus the best single source's.
 
+candidate_digest() hashes, for the same runs, each mode's discontinuity
+candidates instead: their columns, strengths and source names.
+
 Usage:
     python3 scripts/layout_digest.py
     python3 scripts/layout_digest.py --expect <hex digest of the parent commit>
@@ -23,6 +26,8 @@ Usage:
     python3 scripts/layout_digest.py --seeds 0 1 2 3 4 5 6 7 8 9 --sigmas 0 0.001 0.002 0.005 0.01
     # candidate-source ablation
     python3 scripts/layout_digest.py --seeds 0 1 2 3 4 5 6 7 8 9 --sigmas 0.002
+    # the candidates' digest
+    cd scripts && python3 -c "import layout_digest as d; print(d.candidate_digest())"
 """
 
 import argparse
@@ -36,8 +41,10 @@ import numpy as np
 from panolayout import (
     FIXTURE_FAMILIES,
     MODES,
+    DiscontinuitySource,
     MetricReport,
     RoomLayoutError,
+    candidates_for_mode,
     evaluate_pair,
     make_fixture,
     perturb_signal,
@@ -91,6 +98,24 @@ def digest(families=FIXTURE_FAMILIES, seeds=SEEDS, sigmas=SIGMAS, modes=MODES):
                         cell.runs.append((m.iou2d, m.corner_error, m.junction_f,
                                           len(corners) == n_corners, len(pairs) == n_pairs))
     return h.hexdigest(), dict(table)
+
+
+def candidate_digest(families=FIXTURE_FAMILIES, seeds=SEEDS, sigmas=SIGMAS, modes=MODES):
+    """sha256 hex digest of every run's candidates: each record's column and
+    strength bytes and its source's name, which reads the same whatever code
+    stores the source."""
+    h = hashlib.sha256()
+    for family in families:
+        for seed in seeds:
+            signal, _ = render_signal(make_fixture(family, seed))
+            for sigma in sigmas:
+                noisy = perturb_signal(signal, sigma, seed=seed) if sigma > 0 else signal
+                for mode in modes:
+                    cands = candidates_for_mode(noisy, mode=mode)
+                    names = [DiscontinuitySource(s).name for s in cands["source"].tolist()]
+                    h.update(repr((family, seed, sigma, mode, names)).encode())
+                    h.update(cands["column"].tobytes() + cands["strength"].tobytes())
+    return h.hexdigest()
 
 
 def summary(cell):

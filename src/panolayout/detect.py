@@ -12,7 +12,6 @@ cyclic: a panorama has no first column.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import sys
@@ -98,19 +97,20 @@ class BoundarySignal:
         )
 
 
-class DiscontinuitySource(str, enum.Enum):
-    SLOPE2D_CEILING = "slope2d_ceiling"
-    SLOPE2D_FLOOR = "slope2d_floor"
-    KINK2D_CEILING = "kink2d_ceiling"
-    KINK2D_FLOOR = "kink2d_floor"
-    JUMP3D_CEILING = "jump3d_ceiling"
-    JUMP3D_FLOOR = "jump3d_floor"
+class DiscontinuitySource(enum.IntEnum):
+    """Detector and boundary of a candidate; the codes follow the names' order."""
+
+    JUMP3D_CEILING = 0
+    JUMP3D_FLOOR = 1
+    KINK2D_CEILING = 2
+    KINK2D_FLOOR = 3
+    SLOPE2D_CEILING = 4
+    SLOPE2D_FLOOR = 5
 
 
 # One row per column suspected to sit at a boundary discontinuity; ``source``
-# holds a DiscontinuitySource value.
-CANDIDATE_DTYPE = np.dtype([("column", np.int64), ("source", "U15"), ("strength", float)])
-_RAW_CANDIDATE = np.dtype((np.void, CANDIDATE_DTYPE.itemsize))  # one record as opaque bytes
+# holds a DiscontinuitySource code.
+CANDIDATE_DTYPE = np.dtype([("column", np.int64), ("source", np.uint8), ("strength", float)])
 
 
 # Window sizes in columns, fixed: they tune approximations, not the network outputs.
@@ -135,6 +135,14 @@ class DetectConfig:
                 raise InputError(f"{name} must be a number > {least}, got {value!r}")
 
 
+def _curve(values, name: str) -> np.ndarray:
+    """A per-column input of the peak finder or a detector as a 1D float array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise InputError(f"{name} must be 1D, got shape {arr.shape}")
+    return arr
+
+
 def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     """Cyclic local maxima of the corner probability above the peak threshold.
 
@@ -143,7 +151,7 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     sorted ascending.
     """
     config = config or DetectConfig()
-    y_p = np.asarray(y_p, dtype=float)
+    y_p = _curve(y_p, "corner probability")
     w = len(y_p)
     ext = np.concatenate((y_p[-1:], y_p, y_p[:1]))  # ext[i] == y_p[(i - 1) % w]
     is_peak = (y_p >= ext[:-2]) & (y_p >= ext[2:]) & (y_p >= config.peak_threshold)
@@ -158,22 +166,14 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     return sorted(kept)
 
 
-# DiscontinuitySource values by (detector, boundary)
-_SOURCES = {tuple(s.value.split("_")): s.value for s in DiscontinuitySource}
+# DiscontinuitySource members by (detector, boundary)
+_SOURCES = {tuple(s.name.lower().split("_")): s for s in DiscontinuitySource}
 
 
-def _source(detector: str, boundary: str) -> str:
+def _source(detector: str, boundary: str) -> DiscontinuitySource:
     if boundary not in ("floor", "ceiling"):
         raise InputError(f"boundary must be 'floor' or 'ceiling', got {boundary!r}")
     return _SOURCES[detector, boundary]
-
-
-def _curve(values, name: str) -> np.ndarray:
-    """A detector's per-column input as a 1D float array."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InputError(f"{name} must be 1D, got shape {arr.shape}")
-    return arr
 
 
 def detect_2d(
@@ -188,7 +188,7 @@ def detect_2d(
     pixel-quantized curves are noise-dominated, hence the smoothing.
     """
     config = config or DetectConfig()
-    kink_src, slope_src = _source("kink2d", boundary), _source("slope2d", boundary)
+    sources = np.array([_source("kink2d", boundary), _source("slope2d", boundary)], np.uint8)
     y = _curve(y, "boundary curve")
     if y.size and not (y.min() > -np.inf and y.max() < np.inf):  # NaN fails too
         bad = np.flatnonzero(~np.isfinite(y))
@@ -202,8 +202,9 @@ def detect_2d(
     # difference of the cyclic box mean all but two steps cancel, so it is
     # exactly |step[i + span - half - 1] - step[i - half - 1]|.
     ahead, behind = ((span - half - 1) % w, -(half + 1) % w) if w else (0, 0)
-    # Column i's kink statistic and slope sit side by side, so the flat order
-    # of the entries over their thresholds is the (column, source) order.
+    # Column i's kink statistic and slope sit side by side, at flat index
+    # 2 i and 2 i + 1, so the flat order of the entries over their thresholds
+    # is the (column, source) order.
     stats, over = np.empty((w, 2)), np.empty((w, 2), bool)
     stats[:, 0] = np.abs(
         np.concatenate((step[ahead:], step[:ahead])) - np.concatenate((step[behind:], step[:behind]))
@@ -212,21 +213,10 @@ def detect_2d(
     np.greater(stats[:, 0], config.kink_threshold, out=over[:, 0])
     np.greater(stats[:, 1], config.slope_threshold, out=over[:, 1])
     fired = over.ravel().nonzero()[0]
-    cands = _kink_slope_slots(w, kink_src, slope_src).take(fired)  # column, source: one copy
+    cands = np.empty(len(fired), CANDIDATE_DTYPE)
+    cands["column"], cands["source"] = fired >> 1, sources[fired & 1]
     cands["strength"] = stats.ravel()[fired]
     return cands
-
-
-@functools.lru_cache(maxsize=4)
-def _kink_slope_slots(width: int, kink_src: str, slope_src: str) -> np.ndarray:
-    """Read-only ``CANDIDATE_DTYPE`` records of every (column, source) slot of
-    :func:`detect_2d` in its flat order: slot ``2 i`` is column i's kink
-    candidate and slot ``2 i + 1`` its slope candidate, with strength 0."""
-    slots = np.zeros(2 * width, CANDIDATE_DTYPE)
-    slots["column"] = np.arange(2 * width) >> 1
-    slots["source"][0::2], slots["source"][1::2] = kink_src, slope_src
-    slots.setflags(write=False)
-    return slots
 
 
 def detect_3d(
@@ -304,8 +294,8 @@ def ensemble(
         raise InputError("candidates must be an array of CANDIDATE_DTYPE")
     if candidates.ndim != 1:
         raise InputError(f"candidates must be 1D, got shape {candidates.shape}")
-    if width < 1:
-        raise InputError(f"width must be >= 1, got {width}")
+    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+        raise InputError(f"width must be an integer >= 1, got {width!r}")
     # contiguous float copies of the record fields: the checks reduce them,
     # and the clustering reads them as they are
     cols, wts = candidates["column"].astype(float), candidates["strength"].copy()
@@ -462,9 +452,7 @@ def candidates_for_mode(
         d_ceil = wall_distance_profile(signal.y_c, cam, room_height)
         parts.append(detect_3d(d_floor, config, boundary="floor"))
         parts.append(detect_3d(d_ceil, config, boundary="ceiling"))
-    # Joined as raw bytes: numpy copies a structured array field by field,
-    # several times slower on the U15 source than one copy of the records.
-    return np.concatenate([p.view(_RAW_CANDIDATE) for p in parts]).view(CANDIDATE_DTYPE)
+    return np.concatenate(parts, dtype=CANDIDATE_DTYPE)
 
 
 def _refine_peak_column(y_p: np.ndarray, p: int) -> float:

@@ -201,9 +201,12 @@ def corner_bumps(columns, width: int, sigma: float = 2.0) -> np.ndarray:
     Overlapping bumps combine by max so values stay in [0, 1]. ``sigma=0``
     gives a one-hot at the nearest integer column.
     """
+    columns = np.atleast_1d(np.asarray(columns, dtype=float))
+    if not np.isfinite(columns).all():
+        raise InputError(f"corner column must be finite, got {columns[~np.isfinite(columns)][0]}")
     y_p = np.zeros(width)
     cols = np.arange(width, dtype=float)
-    for c in np.atleast_1d(np.asarray(columns, dtype=float)):
+    for c in columns:
         if sigma <= 0:
             y_p[int(round(c)) % width] = 1.0
             continue

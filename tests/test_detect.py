@@ -38,11 +38,11 @@ W = 1024
 
 
 def slope_candidates(cands):
-    return cands[np.char.startswith(cands["source"], "slope2d_")]
+    return cands[np.isin(cands["source"], [S for S in DiscontinuitySource if "SLOPE2D" in S.name])]
 
 
 def kink_candidates(cands):
-    return cands[np.char.startswith(cands["source"], "kink2d_")]
+    return cands[np.isin(cands["source"], [S for S in DiscontinuitySource if "KINK2D" in S.name])]
 
 
 def scalar_detect_2d(ys, cfg, boundary):
@@ -60,10 +60,10 @@ def scalar_detect_2d(ys, cfg, boundary):
     for i in range(n):
         d2 = abs(step(i + span - half - 1) - step(i - half - 1))
         if d2 > cfg.kink_threshold:
-            rows.append((i, f"kink2d_{boundary}", d2))
+            rows.append((i, DiscontinuitySource[f"KINK2D_{boundary.upper()}"], d2))
         dy = abs(step(i))
         if dy > cfg.slope_threshold:
-            rows.append((i, f"slope2d_{boundary}", dy))
+            rows.append((i, DiscontinuitySource[f"SLOPE2D_{boundary.upper()}"], dy))
     return rows
 
 
@@ -84,7 +84,7 @@ def scalar_detect_3d(ds, cfg, boundary):
         a, b = ds[i], ds[(i + 1) % len(ds)]
         ratio = max(a, b) / min(a, b)
         if ratio > cfg.jump_ratio:
-            rows.append((i, f"jump3d_{boundary}", ratio))
+            rows.append((i, DiscontinuitySource[f"JUMP3D_{boundary.upper()}"], ratio))
     return rows
 
 
@@ -253,6 +253,10 @@ class TestDetect2d:
         message = f"boundary curve must be 1D, got shape {shape}"
         with pytest.raises(InputError, match=re.escape(message)):
             detect_2d(np.full(shape, -0.5))
+        # the peak finder's input passes the same check
+        message = f"corner probability must be 1D, got shape {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            extract_corner_peaks(np.full(shape, 0.9))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -293,7 +297,8 @@ class TestDetect3d:
     @pytest.mark.parametrize("boundary", ["floor", "ceiling"])
     def test_source_tag(self, boundary):
         d = np.where(np.arange(W) <= 300, 1.6, 3.2)
-        assert set(detect_3d(d, boundary=boundary)["source"]) == {f"jump3d_{boundary}"}
+        source = DiscontinuitySource[f"JUMP3D_{boundary.upper()}"]
+        assert set(detect_3d(d, boundary=boundary)["source"]) == {source}
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -346,9 +351,20 @@ class TestDetect3d:
         assert scaled["strength"] == pytest.approx(base["strength"], rel=1e-12)
 
 
+def test_candidate_record_format():
+    # source codes follow the names' order, so sorting records by (column,
+    # source) orders them as it did when the source was a string
+    assert sorted(DiscontinuitySource, key=int) == sorted(
+        DiscontinuitySource, key=lambda s: s.name.lower()
+    )
+    assert CANDIDATE_DTYPE["source"] == np.uint8
+    assert CANDIDATE_DTYPE.itemsize <= 24
+
+
 def _cands(cols, strengths=1.0):
     cands = np.empty(len(cols), CANDIDATE_DTYPE)
-    cands["column"], cands["source"], cands["strength"] = cols, "slope2d_floor", strengths
+    source = DiscontinuitySource.SLOPE2D_FLOOR
+    cands["column"], cands["source"], cands["strength"] = cols, source, strengths
     return cands
 
 
@@ -431,6 +447,17 @@ class TestEnsemble:
             ensemble(_cands([5]), 0)
         with pytest.raises(InputError):
             ensemble(_cands([70]), 64)
+
+    @pytest.mark.parametrize(
+        "width", [8.5, 8.0, True, np.float64(8)], ids=["8.5", "8.0", "True", "float64"]
+    )
+    def test_rejects_width_that_is_not_an_integer(self, width):
+        message = f"width must be an integer >= 1, got {width!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            ensemble(_cands([4]), width)
+
+    def test_numpy_integer_width_accepted(self):
+        assert ensemble(_cands([4]), np.int64(8)) == [4.0]
 
     @pytest.mark.parametrize(
         "cands",
@@ -723,7 +750,8 @@ class TestPostprocess:
         only3d = candidates_for_mode(sig, cfg, "3d_only")
         assert both.tolist() == np.concatenate([only2d, only3d]).tolist()
         # "kink2d_floor" -> "2d_floor": the detector and boundary of each source
-        kinds = [f"{d[-2:]}_{b}" for d, b in (s.split("_") for s in both["source"].tolist())]
+        names = [DiscontinuitySource(s).name.lower() for s in both["source"].tolist()]
+        kinds = [f"{d[-2:]}_{b}" for d, b in (name.split("_") for name in names)]
         blocks = [kind for kind, _ in itertools.groupby(kinds)]
         assert blocks == ["2d_ceiling", "2d_floor", "3d_floor", "3d_ceiling"]
         peaks = tuple(extract_corner_peaks(sig.y_p, cfg))
@@ -850,8 +878,9 @@ class TestRollFreeNeighbours:
         step = np.roll(y, -1) - y
         dy = np.abs(step)
         d2 = np.abs(np.roll(step, -(span - span // 2 - 1)) - np.roll(step, span // 2 + 1))
-        rows = [(i, "kink2d_floor", d2[i]) for i in np.flatnonzero(d2 > kink).tolist()]
-        rows += [(i, "slope2d_floor", dy[i]) for i in np.flatnonzero(dy > slope).tolist()]
+        kink_src, slope_src = DiscontinuitySource.KINK2D_FLOOR, DiscontinuitySource.SLOPE2D_FLOOR
+        rows = [(i, kink_src, d2[i]) for i in np.flatnonzero(d2 > kink).tolist()]
+        rows += [(i, slope_src, dy[i]) for i in np.flatnonzero(dy > slope).tolist()]
         cfg = DetectConfig(slope_threshold=slope, kink_threshold=kink)
         assert detect_2d(y, cfg).tolist() == sorted(rows, key=lambda r: r[:2])
 
@@ -864,7 +893,7 @@ class TestRollFreeNeighbours:
         d = np.array(ds)
         ratio = np.maximum(d, np.roll(d, -1)) / np.minimum(d, np.roll(d, -1))
         cols = np.flatnonzero(ratio > jump_ratio).tolist()
-        rows = [(i, "jump3d_floor", ratio[i]) for i in cols]
+        rows = [(i, DiscontinuitySource.JUMP3D_FLOOR, ratio[i]) for i in cols]
         assert detect_3d(d, DetectConfig(jump_ratio=jump_ratio)).tolist() == rows
 
     @given(st.data())

@@ -106,6 +106,16 @@ def test_layout_digest_pinned_on_small_corpus():
     assert hexdigest == SMALL_CORPUS_DIGEST
 
 
+# The candidates of every mode on the small corpus: their columns, strengths
+# and source names. A change to the detectors that moves any candidate on
+# purpose updates this value and says so in CHANGES.md.
+SMALL_CORPUS_CANDIDATE_DIGEST = "b545582da7335208a5119bc92819755a7d71adac4a0cf8c33e56da110e85e3d3"
+
+
+def test_candidate_digest_pinned_on_small_corpus():
+    assert _load("layout_digest").candidate_digest(*SMALL) == SMALL_CORPUS_CANDIDATE_DIGEST
+
+
 def test_layout_digest_expect_sets_exit_status(capsys):
     script = _load("layout_digest")
     corpus = ["--families", "square", "l_room", "--seeds", "0", "1"]

@@ -391,6 +391,11 @@ class TestCornerBumps:
         y = corner_bumps([10, 11, 12], 64)
         assert y.max() <= 1.0 and y[11] == 1.0
 
+    @pytest.mark.parametrize("column, sigma", [(math.nan, 0.0), (math.inf, 2.0), (-math.inf, 2.0)])
+    def test_non_finite_column_rejected(self, column, sigma):
+        with pytest.raises(InputError, match=f"corner column must be finite, got {column}"):
+            corner_bumps([10.0, column], 8, sigma)
+
 
 class TestPerturbSignal:
     def test_sigma_zero_is_identity(self):
