@@ -116,9 +116,9 @@ __version__ = "0.1.0"
 # with fresh pages that fault in zero-filled on first touch, and returns the
 # free top of its heap to the system above a trim threshold. Freeing a mapped
 # block raises the mmap threshold to its size and the trim threshold to twice
-# that. The temporaries of evaluate_pair and the detectors run to a few
-# hundred KiB, so one freed 1 MiB block keeps them on the heap: without it a
-# clean scene's evaluate_pair takes about 250 minor page faults.
+# that. One freed 1 MiB block keeps evaluate_pair's many-corner temporaries
+# (in layout_boundaries, _plane_f and _wireframe_f) on the heap: without it
+# a clean scene's evaluate_pair takes about 250 minor page faults.
 _np.empty(1 << 20, dtype=_np.uint8)
 del _np
 

@@ -143,6 +143,12 @@ def _curve(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if arr.size and not (arr.min() > -np.inf and arr.max() < np.inf):  # NaN fails too
+        bad = np.flatnonzero(~np.isfinite(arr))
+        raise InputError(f"non-finite {what} at column {int(bad[0])}")
+
+
 def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     """Cyclic local maxima of the corner probability above the peak threshold.
 
@@ -152,6 +158,7 @@ def extract_corner_peaks(y_p, config: DetectConfig | None = None) -> list[int]:
     """
     config = config or DetectConfig()
     y_p = _curve(y_p, "corner probability")
+    _check_finite(y_p, "corner probability")
     w = len(y_p)
     ext = np.concatenate((y_p[-1:], y_p, y_p[:1]))  # ext[i] == y_p[(i - 1) % w]
     is_peak = (y_p >= ext[:-2]) & (y_p >= ext[2:]) & (y_p >= config.peak_threshold)
@@ -190,9 +197,7 @@ def detect_2d(
     config = config or DetectConfig()
     sources = np.array([_source("kink2d", boundary), _source("slope2d", boundary)], np.uint8)
     y = _curve(y, "boundary curve")
-    if y.size and not (y.min() > -np.inf and y.max() < np.inf):  # NaN fails too
-        bad = np.flatnonzero(~np.isfinite(y))
-        raise InputError(f"non-finite boundary value at column {int(bad[0])}")
+    _check_finite(y, "boundary value")
     w, span, half = len(y), _SMOOTHING_WIDTH, _SMOOTHING_WIDTH // 2
     step = np.concatenate((y[1:], y[:1])) - y  # step[i] == y[i+1] - y[i], cyclically
     # Box smoothing spreads a one-column slope change of m over `span` columns,

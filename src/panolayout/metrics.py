@@ -64,9 +64,13 @@ class MetricReport:
 
 
 def _floor_polygon(x) -> np.ndarray:
-    pts = x.floor_points() if isinstance(x, VisibleLayout) else np.asarray(x, dtype=float)
+    if isinstance(x, VisibleLayout):
+        return x.floor_points()
+    pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise InputError("polygon must be an (N>=3, 2) array or a layout")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("polygon vertices must be finite")
     return pts
 
 
@@ -138,20 +142,21 @@ def _height_of(x, height) -> float:
 def iou_3d(a, b, height_a: float | None = None, height_b: float | None = None) -> float:
     """Exact extruded-prism volume IoU; both layouts share the camera at the origin."""
     ha, hb = _height_of(a, height_a), _height_of(b, height_b)
+    if not (math.isfinite(ha) and math.isfinite(hb)):
+        raise MetricError(f"non-finite room height: {ha}, {hb}")
     if ha <= 0 or hb <= 0:
         raise MetricError(f"nonpositive room height: {ha}, {hb}")
     return _ious(a, b, ha, hb)[1]
 
 
-def _pixel_distances(p: np.ndarray, q: np.ndarray, width: float | None) -> np.ndarray:
-    """(len(p), len(q)) Euclidean pixel distances, columns cyclic if width given;
-    ``inf`` where a distance overflows."""
-    with np.errstate(over="ignore"):
-        du = np.abs(p[:, 0][:, None] - q[:, 0][None, :])
-        if width is not None:
-            du = np.minimum(du, width - du)
+def _pixel_distances(p: np.ndarray, q: np.ndarray, width: int) -> np.ndarray:
+    """(len(p), len(q)) Euclidean pixel distances, columns cyclic at any
+    distance; ``inf`` where a distance overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        du = np.fmod(np.abs(p[:, 0][:, None] - q[:, 0][None, :]), width)  # NaN if it overflows
+        du = np.minimum(du, width - du)
         dv = p[:, 1][:, None] - q[:, 1][None, :]
-        return np.sqrt(du**2 + dv**2)
+        return np.fmin(np.sqrt(du**2 + dv**2), np.inf)  # fmin turns NaN into inf
 
 
 def _grid_of(a, b, grid: ImageGrid | None = None) -> ImageGrid:
@@ -403,20 +408,6 @@ def _wireframe_points(wire) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([curve_cols, run_cols]), np.concatenate([rows.ravel(), *runs])
 
 
-def _seam_rows(rows, width: int, reach: float, pad: int) -> np.ndarray:
-    """Curve rows at columns ``-pad .. width + pad``, shape (2, columns): a
-    column beyond an edge holds the seam copy of column ``% width`` where the
-    copies hold that column (``c <= reach`` one width right, ``c >= width -
-    reach`` one width left), and ``inf`` rows elsewhere."""
-    out = np.full((2, width + 2 * pad + 1), np.inf)
-    out[:, pad : pad + width] = rows
-    n_right = max(min(math.floor(reach), pad, width - 1) + 1, 0)  # columns 0 .. n_right - 1
-    left = min(max(math.ceil(width - reach), width - pad, 0), width)  # columns left .. width - 1
-    out[:, pad + width : pad + width + n_right] = rows[:, :n_right]
-    out[:, pad - (width - left) : pad] = rows[:, left:]
-    return out
-
-
 def _curve_sq_distances(frac, sv, idx, offsets, seam_rows) -> np.ndarray:
     """Least squared distance from each source point to the curve points at
     the given column offsets from its floor column. ``frac`` is the source
@@ -435,26 +426,26 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
     """Distance from each source point (su, sv) to the nearest point of a
     :func:`_wireframe`, columns cyclic; ``inf`` where none is within ``reach``.
 
-    Exact without a search tree, because the wireframe's points lie on a
-    grid: the nearest point of a run is the source row clipped to the run, and
-    curve points sit one per integer column. Runs are searched in full, curves
-    at the two nearest columns, and only points whose squared bound is still
-    above 1 search every column within ``reach``; any other column is at
-    least 1 away. The result equals bit for bit a nearest-neighbour query
-    over the points plus a copy one width over of each point within
-    ``reach`` columns of the seam: squared distances are ``du*du + dv*dv``
-    with the copies' columns ``c + width`` and ``c - width`` computed in
-    float, a point counts when its squared distance is below the square of
-    the next float above ``reach`` (one exactly ``reach`` away counts), and
-    one ``sqrt`` comes last. A point at distance 0 always counts; that
-    differs from the query only where the bound's square underflows to 0,
-    as it does at ``reach`` 0.
+    Exact without a search tree, because the wireframe's points lie on a grid:
+    the nearest point of a run is the source row clipped to the run, and curve
+    points sit one per integer column. Runs are searched in full, curves at
+    the two nearest columns, and only points whose squared bound is still
+    above 1 search every column within ``reach`` and a width; any other column
+    is at least 1 away, or for su in [0, width) has a nearer copy. The result
+    equals bit for bit a nearest-neighbour query over the points plus a copy
+    one width over of each: squared distances are ``du*du + dv*dv`` with the
+    copies' columns ``c + width`` and ``c - width`` computed in float, a point
+    counts when its squared distance is below the square of the next float
+    above ``reach`` (one exactly ``reach`` away counts), and one ``sqrt``
+    comes last. A point at distance 0 always counts; that differs from the
+    query only where the bound's square underflows to 0, as at ``reach`` 0.
     """
     rows, (cols, first, last) = wire
     dv2 = np.clip(np.rint(sv), first[:, None], last[:, None])
     np.subtract(sv, dv2, out=dv2)
     dv2 *= dv2
     d2 = np.full(len(su), np.inf)
+    # a copy beyond reach of the seam is beyond reach of every source: skip it
     copies = ((0.0, slice(None)), (width, cols <= reach), (-width, cols >= width - reach))
     for shift, held in copies:
         run_cols = cols[held]
@@ -464,8 +455,8 @@ def _nearest_distances(su, sv, wire, width: int, reach: float) -> np.ndarray:
             np.minimum(d2, sq.min(axis=0), out=d2)
     # A curve point in integer column tc lies (su - base) - (tc - base) columns
     # away, which rounds as su - tc does because su - base is exact.
-    pad = max(math.ceil(reach), 0)
-    seam_rows = _seam_rows(rows, width, reach, pad)
+    pad = min(max(math.ceil(reach), 0), width)
+    seam_rows = rows.take(np.arange(-pad, width + pad + 1), axis=1, mode="wrap")
     base = np.floor(su)
     frac, base_idx = su - base, base.astype(np.intp) + pad
     near = np.array([0, 1])

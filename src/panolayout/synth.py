@@ -195,12 +195,26 @@ def truth_layout(room: SyntheticRoom, grid: ImageGrid) -> VisibleLayout:
     )
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_sigma(value, name: str) -> None:
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0
+    ):
+        raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def corner_bumps(columns, width: int, sigma: float = 2.0) -> np.ndarray:
     """Per-column corner probability: unit Gaussian bumps at the given columns.
 
     Overlapping bumps combine by max so values stay in [0, 1]. ``sigma=0``
     gives a one-hot at the nearest integer column.
     """
+    _check_integer(width, "width", 1)
+    _check_sigma(sigma, "sigma")
     columns = np.atleast_1d(np.asarray(columns, dtype=float))
     if not np.isfinite(columns).all():
         raise InputError(f"corner column must be finite, got {columns[~np.isfinite(columns)][0]}")
@@ -253,18 +267,10 @@ def layout_boundaries(layout: VisibleLayout):
     return -floor_lat_of_distance(dist, layout.room_height - h), floor_lat_of_distance(dist, h)
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def perturb_signal(signal, noise_sigma: float, seed: int = 0):
     """Seeded Gaussian noise on both boundary curves; y_p untouched."""
-    if isinstance(noise_sigma, bool) or not (
-        isinstance(noise_sigma, numbers.Real) and math.isfinite(noise_sigma) and noise_sigma >= 0
-    ):
-        raise InputError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
-    _check_seed(seed)
+    _check_sigma(noise_sigma, "noise_sigma")
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     margin = 1e-4
     half_pi = np.pi / 2
@@ -419,7 +425,7 @@ def _rendered_fixture(family: str, seed: int, grid: ImageGrid | None = None):
     detectability check accepted."""
     if family not in _SAMPLERS:
         raise InputError(f"unknown fixture family {family!r}; choose from {FIXTURE_FAMILIES}")
-    _check_seed(seed)
+    _check_integer(seed, "seed", 0)
     grid = grid or ImageGrid()
     rng = np.random.default_rng([_FAMILY_IDS[family], seed])
     for _ in range(400):

@@ -324,16 +324,6 @@ def roll_hit_params(origin, dirs, polygon):
     return np.where(crosses & (s > 1e-9), s, np.inf)
 
 
-def modulo_seam_rows(rows, width, reach, pad):
-    """Reference for ``metrics._seam_rows``: every column's source found with
-    ``tc % width``."""
-    tc = np.arange(-pad, width + pad + 1.0)
-    c = tc % width
-    shift = tc - c
-    held = (shift == 0) | (shift == width) & (c <= reach) | (shift == -width) & (c >= width - reach)
-    return np.where(held, rows[:, c.astype(np.intp)], np.inf)
-
-
 def looped_planes(layout, rows, grid):
     """Reference for ``metrics._planes``, one wall edge at a time over its
     cyclic column range, with the plane labels: ``(labels, top, bottom)``."""
@@ -401,12 +391,11 @@ def per_threshold_junction_f(p, q, width, thresholds):
 @pytest.fixture(scope="session")
 def metric_oracle():
     """The earlier forms of rewritten ray-cast and metric helpers:
-    ``.hit_params(origin, dirs, polygon)``, ``.seam_rows(rows, width, reach,
-    pad)``, ``.planes(layout, rows, grid)``, ``.plane_ious(planes_p,
-    planes_g)`` and ``.junction_f(p, q, width, thresholds)``."""
+    ``.hit_params(origin, dirs, polygon)``, ``.planes(layout, rows, grid)``,
+    ``.plane_ious(planes_p, planes_g)`` and ``.junction_f(p, q, width,
+    thresholds)``."""
     return SimpleNamespace(
         hit_params=roll_hit_params,
-        seam_rows=modulo_seam_rows,
         planes=looped_planes,
         plane_ious=full_plane_ious,
         junction_f=per_threshold_junction_f,

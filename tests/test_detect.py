@@ -146,6 +146,15 @@ class TestExtractCornerPeaks:
         y[100] = 0.49
         assert extract_corner_peaks(y) == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_value_rejected(self, bad, column):
+        y = [0.1, 0.9, 0.1]
+        y[column] = bad
+        message = f"non-finite corner probability at column {column}"
+        with pytest.raises(InputError, match=message):
+            extract_corner_peaks(y)
+
     def test_brute_force_agreement(self, rng):
         # independent re-derivation: scan all columns, apply the same rules
         y = np.zeros(W)

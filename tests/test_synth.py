@@ -396,6 +396,20 @@ class TestCornerBumps:
         with pytest.raises(InputError, match=f"corner column must be finite, got {column}"):
             corner_bumps([10.0, column], 8, sigma)
 
+    @pytest.mark.parametrize("width", [0, -4, 8.5, True, np.float64(8.0), "8"])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(InputError, match="width must be an integer >= 1"):
+            corner_bumps([1.0], width, 2.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0, True, "2"])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(InputError, match="sigma must be a finite number >= 0"):
+            corner_bumps([1.0], 8, sigma)
+
+    def test_numpy_width_and_sigma_accepted(self):
+        y = corner_bumps([1.0], np.int64(8), np.float64(0.0))
+        assert y.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
 
 class TestPerturbSignal:
     def test_sigma_zero_is_identity(self):
